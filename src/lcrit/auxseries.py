@@ -85,6 +85,8 @@ class WeightScheme:
 
     kind: str
     params: SchemeParams
+    # id(tbl) -> (tbl, lifted weights); holding tbl keeps its id from being reused
+    _power_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -123,9 +125,20 @@ class WeightScheme:
             vals = self._chi_factor(tag, chi_p)
             out[mask] = vals[mask]
         if pq is not None:
-            divq = np.array([pr.chr.modulus % int(p) == 0 for p in primes])
+            divq = pr.chr.modulus % primes == 0
             out[divq & (pf <= b4)] = complex(pq)
         return out
+
+    def power_weights(self, tbl: ps.PrimeTable) -> np.ndarray:
+        """a(p)^k at each prime power p^k <= x, in the order of
+        tbl.prime_powers(x); built and range-checked once per table."""
+        hit = self._power_cache.get(id(tbl))
+        if hit is None:
+            x = self.params.x
+            wk = ps.lift_weights(self.prime_weights(tbl.primes_upto(x)), x, tbl)
+            wk.flags.writeable = False
+            hit = self._power_cache[id(tbl)] = (tbl, wk)
+        return hit[1]
 
     def prime_weight_angle(self, p: int) -> Fraction:
         """Exact angle (in turns) of the weight at prime p <= x."""
@@ -181,7 +194,7 @@ def s1_constant_series(chr: Character, x: float, tbl: ps.PrimeTable) -> complex:
     chi = ps.weights_for_character(chibar, pp.n)
     inv = np.exp(-pp.logn)
     part1 = complex(np.sum(chi * pp.logp * inv))
-    ramified = np.array([chr.modulus % int(p) == 0 for p in pp.p])
+    ramified = chr.modulus % pp.p == 0
     part2 = float(np.sum((pp.logp * inv)[ramified]))
     return part1 + part2
 
@@ -206,7 +219,7 @@ def s2_constant_series(chr: Character, x: float, tbl: ps.PrimeTable) -> complex:
     """Truncated route: sum_{n<=x} Lambda(n) a(n)/n with a(p) = -chibar(p),
     minus sum_{p|q} log p/(p+1)."""
     chibar = chr.conjugate()
-    w = -chibar.coeff_array()[tbl.primes % chr.modulus]
+    w = -ps.weights_for_character(chibar, tbl.primes_upto(x))
     # a(p) = 0 at p | q contributes nothing, matching the convention a_p = -chibar(p)
     val = ps.lambda_weighted_sum(1.0 + 0j, x, w, tbl, over_log=False)
     ram = sum(math.log(p) / (p + 1) for p in _prime_divisors(chr.modulus))
@@ -313,12 +326,9 @@ def v_series_shifted(s: complex, tau, x: float, tbl: ps.PrimeTable,
 def aux_series(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
     """W_x / Z_x (kinds B, Bprime: Lambda-weighted) or M_x (kinds C, Cprime:
     additionally divided by log n), at the point s."""
-    pr = scheme.params
     over_log = scheme.kind in ("C", "Cprime")
-    w = scheme.prime_weights(tbl.primes_upto(pr.x))
-    full = np.zeros(len(tbl.primes), dtype=np.complex128)
-    full[: len(w)] = w
-    return ps.lambda_weighted_sum(s, pr.x, full, tbl, over_log=over_log)
+    return ps.power_weighted_sum(s, scheme.params.x, scheme.power_weights(tbl), tbl,
+                                 over_log=over_log)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +406,7 @@ def finite_x_constant(scheme: WeightScheme, tbl: ps.PrimeTable) -> FiniteXConsta
     model = linear_form(1.0 + 0j, scheme)
     pr = scheme.params
     pp = tbl.prime_powers(pr.x)
-    w = scheme.prime_weights(tbl.primes_upto(pr.x))
-    terms = w[pp.p_index] ** pp.k * pp.logp / pp.n.astype(np.float64)
+    terms = scheme.power_weights(tbl) * pp.logp / pp.n.astype(np.float64)
     bps = pr.breakpoints()
     # range j holds b_{j-1} < p <= b_j, as in prime_weights
     rng = np.searchsorted(np.asarray(bps), pp.p.astype(np.float64), side="left")
@@ -428,9 +437,7 @@ def aux_series_derivative(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) 
     if scheme.kind not in ("B", "Bprime"):
         raise ValueError("derivative used for kinds B and Bprime only")
     pp = tbl.prime_powers(pr.x)
-    w = scheme.prime_weights(tbl.primes_upto(pr.x))
-    wk = np.asarray(w, dtype=np.complex128)[pp.p_index] ** pp.k
-    coeff = -wk * pp.logp * pp.logn
+    coeff = -scheme.power_weights(tbl) * pp.logp * pp.logn
     return kernels.dirichlet_sum(
         np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s)
     )
@@ -539,7 +546,7 @@ def m_series_ramified_check(scheme: WeightScheme, tbl: ps.PrimeTable,
         raise ValueError("kinds C and Cprime only")
     pr = scheme.params
     pp = tbl.prime_powers(pr.x)
-    ram = np.array([pr.chr.modulus % int(p) == 0 for p in pp.p])
+    ram = pr.chr.modulus % pp.p == 0
     sign = 1.0 if scheme.kind == "C" else -1.0
     # c(p) = sign at ramified primes (they all sit below x^eps)
     coeff = (sign ** pp.k[ram].astype(np.float64)) / pp.k[ram]

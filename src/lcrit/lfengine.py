@@ -338,7 +338,7 @@ def log_l_truncated(s: complex, chr: Character, T: float, tbl) -> complex:
     from . import primesums as ps
 
     x = math.log(T) ** 2
-    w = chr.coeff_array()[tbl.primes % chr.modulus]
+    w = ps.weights_for_character(chr, tbl.primes_upto(x))
     return ps.lambda_weighted_sum(s, x, w, tbl, over_log=True)
 
 
@@ -358,7 +358,7 @@ def l_log_derivative_truncated(s: complex, chr: Character, x: float, tbl) -> com
     _check_char(chr)
     from . import primesums as ps
 
-    w = chr.coeff_array()[tbl.primes % chr.modulus]
+    w = ps.weights_for_character(chr, tbl.primes_upto(x))
     return -ps.lambda_weighted_sum(s, x, w, tbl, over_log=False)
 
 

@@ -192,6 +192,36 @@ def weights_for_character(chr: Character, values: np.ndarray) -> np.ndarray:
     return table[np.asarray(values) % chr.modulus]
 
 
+def lift_weights(prime_weights: np.ndarray, x: float, tbl: PrimeTable) -> np.ndarray:
+    """a(p)^k at each prime power p^k <= x, in the order of tbl.prime_powers(x).
+
+    ``prime_weights[i]`` is a(tbl.primes[i]) and must cover every prime <= x;
+    complete multiplicativity gives the weight at p^k.  Raises ValueError
+    unless |a(p)| <= 1.
+    """
+    pp = tbl.prime_powers(x)
+    _check_weights(prime_weights)
+    return np.asarray(prime_weights, dtype=np.complex128)[pp.p_index] ** pp.k
+
+
+def power_weighted_sum(
+    s: complex,
+    x: float,
+    power_weights: np.ndarray,
+    tbl: PrimeTable,
+    over_log: bool = False,
+) -> complex:
+    """Sum over prime powers n <= x of b(n) Lambda(n) / n^s, divided
+    additionally by log n when over_log is set, where ``power_weights`` holds
+    b(n) in the order of tbl.prime_powers(x) (as built by lift_weights)."""
+    pp = tbl.prime_powers(x)
+    if over_log:
+        coeff = power_weights / pp.k  # Lambda(n)/log n = 1/k
+    else:
+        coeff = power_weights * pp.logp
+    return kernels.dirichlet_sum(np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s))
+
+
 def lambda_weighted_sum(
     s: complex,
     x: float,
@@ -205,14 +235,7 @@ def lambda_weighted_sum(
     ``prime_weights[i]`` is a(tbl.primes[i]); complete multiplicativity gives
     the weight a(p)^k at p^k.
     """
-    pp = tbl.prime_powers(x)
-    _check_weights(prime_weights)
-    w = np.asarray(prime_weights, dtype=np.complex128)[pp.p_index] ** pp.k
-    if over_log:
-        coeff = w / pp.k  # Lambda(n)/log n = 1/k
-    else:
-        coeff = w * pp.logp
-    return kernels.dirichlet_sum(np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s))
+    return power_weighted_sum(s, x, lift_weights(prime_weights, x, tbl), tbl, over_log)
 
 
 def lambda_chi_over_log(
@@ -229,7 +252,6 @@ def lambda_chi_over_log(
         raise ValueError("need Re s >= 1")
     if x < 2:
         raise ValueError("need x >= 2")
-    _check_weights(prime_weights)
     lhs = lambda_weighted_sum(s, x, prime_weights, tbl, over_log=True)
     p = tbl.primes_upto(x).astype(np.float64)
     w = np.asarray(prime_weights[: len(p)], dtype=np.complex128)
@@ -256,7 +278,6 @@ def lambda_chi_linear(
         raise ValueError("need Re s >= 1")
     if x < 2:
         raise ValueError("need x >= 2")
-    _check_weights(prime_weights)
     lhs = lambda_weighted_sum(s, x, prime_weights, tbl, over_log=False)
     p = tbl.primes_upto(x).astype(np.float64)
     w = np.asarray(prime_weights[: len(p)], dtype=np.complex128)

@@ -201,7 +201,7 @@ def check_thm3_inequality(s: complex, chr: Character, x: float,
     -log log x - C0 + log(pi^2/6) + sum_{p|q} log((p+1)/p) - K/log x."""
     if s.real < 1:
         raise ValueError("need Re s >= 1")
-    w = chr.coeff_array()[tbl.primes % chr.modulus]
+    w = ps.weights_for_character(chr, tbl.primes_upto(x))
     lhs = ps.lambda_weighted_sum(s, x, w, tbl, over_log=True).real
     rhs = thm3_rhs(x, chr.modulus)
     allowance = allowance_k / math.log(x)

@@ -62,15 +62,38 @@ def test_weights_unimodular_off_ramified(kind, chr5, tbl):
 
 @pytest.mark.parametrize("kind", aux.SCHEME_KINDS)
 def test_weight_angles_match_weights(kind, chr5, tbl):
-    scheme = aux.make_scheme(kind, chr5, 1e4, tbl, delta=0.75)
+    # the composite modulus 15 exercises the vectorised p | q mask at p = 3, 5;
+    # every p | q lies below x^eps, so no weight vanishes and none is skipped
     p = tbl.primes_upto(1e4)
-    w = scheme.prime_weights(p)
-    for i, pi in enumerate(p[:200]):
-        if abs(w[i]) < 1e-12:
-            continue
-        ang = scheme.prime_weight_angle(int(pi))
-        expect = np.exp(2j * np.pi * float(ang))
-        assert abs(w[i] - expect) < 1e-12
+    for chr in (chr5, enumerate_characters(15)[1]):
+        scheme = aux.make_scheme(kind, chr, 1e4, tbl, delta=0.75)
+        w = scheme.prime_weights(p)
+        for i, pi in enumerate(p):
+            ang = scheme.prime_weight_angle(int(pi))
+            expect = np.exp(2j * np.pi * float(ang))
+            assert abs(w[i] - expect) < 1e-12
+
+
+@pytest.mark.parametrize("kind", aux.SCHEME_KINDS)
+def test_aux_series_matches_lambda_weighted_sum(kind, chr5, tbl):
+    # the scheme's cached prime-power weights against the uncached route:
+    # prime weights over the whole table, lifted inside lambda_weighted_sum
+    scheme = aux.make_scheme(kind, chr5, 1e5, tbl, delta=0.75)
+    over_log = kind in ("C", "Cprime")
+    small = ps.sieve(10**5)
+    # primes <= x differ from the real table's, so a vector built for another
+    # table cannot give this table's value
+    keep = small.primes != 7
+    doctored = ps.PrimeTable(10**5, small.primes[keep], small.log_primes[keep])
+    at_one = {}
+    for name, t in (("1e5", small), ("1e6", tbl), ("doctored", doctored)):
+        for s in (1.0 + 0j, 1.05 + 0.02j, 1.5 - 2.0j, 3.0 + 10.0j):
+            expect = ps.lambda_weighted_sum(s, 1e5, scheme.prime_weights(t.primes), t,
+                                            over_log=over_log)
+            got = aux.aux_series(s, scheme, t)
+            assert abs(got - expect) <= 1e-13 * abs(expect)
+        at_one[name] = aux.aux_series(1.0 + 0j, scheme, t)
+    assert abs(at_one["doctored"] - at_one["1e6"]) > 1e-3
 
 
 def test_small_prime_override_is_real(chr5, tbl):

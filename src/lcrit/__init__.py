@@ -8,12 +8,14 @@ comparison scans.
 """
 
 from .characters import Character, enumerate_characters, primitive_characters
-from .kernels import BACKEND
 from .lfengine import EvalConfig, dirichlet_l, log_l, zeta, zeta_prime
 from .primesums import PrimeTable, sieve
 from .scanner import ExtremeBounds, theorem_bounds
 
 __version__ = "0.1.0"
+
+# numpy is the only kernel backend; the constant stays for reports that name it
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

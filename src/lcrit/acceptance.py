@@ -51,15 +51,8 @@ def _certificate(kind: str, q: int, label: int, x: float, tol: float,
     key = (kind, q, label, x, tol)
     if key not in _CERT_CACHE:
         chr = enumerate_characters(q)[label]
-        if kind in ("B", "C"):
-            s_const = aux.s1_constant(chr, tbl)
-            m = aux.choose_m(s_const, 2)
-        else:
-            s_const = aux.s2_constant(chr, tbl)
-            m = aux.choose_m(s_const, 4)
-        params = aux.SchemeParams(x=x, delta=0.75, m=m, chr=chr, s_const=s_const)
         base = "B" if kind in ("B", "C") else "Bprime"
-        tg0 = dio.targets_from_scheme(aux.WeightScheme(base, params), tbl)
+        tg0 = dio.targets_from_scheme(aux.make_scheme(base, chr, x, tbl, delta=0.75), tbl)
         tg = dio.AngleTargets(tg0.primes, tg0.targets, tol)
         _CERT_CACHE[key] = dio.find_tau(tg)
     return _CERT_CACHE[key]
@@ -271,11 +264,8 @@ def criterion_7() -> CriterionResult:
         chi = enumerate_characters(5)[1]
         cert = _certificate("B", 5, 1, 200.0, 0.02, tbl)
         reval = dio.revalidate(cert)
-        s_const = aux.s1_constant(chi, tbl)
-        m = aux.choose_m(s_const, 2)
-        params = aux.SchemeParams(x=200.0, delta=0.75, m=m, chr=chi, s_const=s_const)
-        scheme = aux.WeightScheme("B", params)
-        pts = aux.inner_circle_points(params, 64)
+        scheme = aux.make_scheme("B", chi, 200.0, tbl, delta=0.75)
+        pts = aux.inner_circle_points(scheme.params, 64)
         tau = cert.tau
         worst = max(
             abs(aux.v_series_shifted(s, tau, 200.0, tbl) - aux.aux_series(s, scheme, tbl))

@@ -518,10 +518,11 @@ def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
     discarded tail is below cutoff^(1-sigma) log cutoff / (sigma - 1).
     """
     pts = inner_circle_points(scheme.params, n)
-    min_w = min(abs(aux_series(s, scheme, tbl)) for s in pts)
+    ws = [aux_series(s, scheme, tbl) for s in pts]
+    min_w = min(abs(w) for w in ws)
     max_d = 0.0
     use_exact = abs(mp.mpf(tau)) < 1e6
-    for s in pts:
+    for s, w in zip(pts, ws):
         if use_exact:
             st = s + 1j * float(tau)
             z = lfengine.zeta(st, cfg).value
@@ -529,7 +530,7 @@ def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
             neg_logd = -zp / z
         else:
             neg_logd = v_series_shifted(s, tau, cutoff, tbl)
-        max_d = max(max_d, abs(neg_logd - aux_series(s, scheme, tbl)))
+        max_d = max(max_d, abs(neg_logd - w))
     return min_w - max_d
 
 

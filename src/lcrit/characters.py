@@ -52,15 +52,11 @@ class Character:
         return self.order <= 2
 
     def conjugate(self) -> "Character":
-        """The conjugate character chi-bar (exact)."""
-        for other in enumerate_characters(self.modulus):
-            if all(
-                (a is None and b is None)
-                or (a is not None and b is not None and (a + b) % 1 == 0)
-                for a, b in zip(self.angles, other.angles)
-            ):
-                return other
-        raise RuntimeError("dual group not closed under conjugation")
+        """The conjugate character chi-bar: every exponent negated."""
+        _, orders, _ = _group_data(self.modulus)
+        exps = _exponents(self.label, orders)
+        conj = _label(tuple(-c % o for c, o in zip(exps, orders)), orders)
+        return enumerate_characters(self.modulus)[conj]
 
     def coeff_array(self) -> np.ndarray:
         """chi(0..q-1) as complex128, for vectorized residue lookup."""
@@ -118,6 +114,24 @@ def _group_data(q: int):
     return tuple(gens), tuple(orders), dlog
 
 
+def _exponents(label: int, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Exponent tuple of a character label: its mixed-radix digits against
+    the component orders, first component least significant."""
+    exps = []
+    for o in orders:
+        exps.append(label % o)
+        label //= o
+    return tuple(exps)
+
+
+def _label(exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
+    """Character label of an exponent tuple (inverse of _exponents)."""
+    label = 0
+    for c, o in zip(reversed(exps), reversed(orders)):
+        label = label * o + c
+    return label
+
+
 def _char_angles(q: int, char_exps: tuple[int, ...]) -> tuple:
     _, orders, dlog = _group_data(q)
     angles: list[Fraction | None] = [None] * q
@@ -155,12 +169,8 @@ def enumerate_characters(q: int) -> tuple[Character, ...]:
     for o in orders:
         n_chars *= o
     for label in range(n_chars):
-        exps = []
-        rem = label
-        for o in orders:
-            exps.append(rem % o)
-            rem //= o
-        angles = _char_angles(q, tuple(exps))
+        exps = _exponents(label, orders)
+        angles = _char_angles(q, exps)
         cond = _conductor(q, angles)
         pa = angles[(q - 1) % q]
         parity = 1 if pa == 0 else -1

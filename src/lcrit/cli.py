@@ -83,10 +83,8 @@ def cmd_scan(args, cfg):
 def cmd_tau(args, cfg):
     tbl = ps.sieve(max(cfg["sieve_limit"], int(args.x) + 1))
     chr = enumerate_characters(args.q)[args.chi]
-    s_const = aux.s1_constant(chr, tbl)
-    m = aux.choose_m(s_const, 2)
-    params = aux.SchemeParams(x=args.x, delta=args.delta, m=m, chr=chr, s_const=s_const)
-    scheme = aux.WeightScheme("B", params)
+    scheme = aux.make_scheme("B", chr, args.x, tbl, delta=args.delta,
+                             cfg=cfgmod.eval_config(cfg))
     tg0 = dio.targets_from_scheme(scheme, tbl)
     tol = args.tol if args.tol else tg0.tolerance
     tg = dio.AngleTargets(tg0.primes, tg0.targets, tol)

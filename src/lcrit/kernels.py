@@ -1,12 +1,13 @@
-"""Pure-numpy versions of the compiled kernels.
+"""The two summation kernels: weighted Dirichlet sums and Hurwitz partial sums.
 
-numpy's pairwise summation gives accuracy comparable to the Kahan loops in
-the compiled module; semantics match exactly up to rounding.
+numpy sums pairwise, so rounding error grows like log n rather than n;
+tests/test_kernels.py checks both kernels against math.fsum and mpmath.
+Callers reach these through the module attribute
+(``kernels.dirichlet_sum(...)``), never a ``from`` import, so that a wrapper
+installed on the attribute sees every call.
 """
 
 import numpy as np
-
-BACKEND = "numpy"
 
 
 def dirichlet_sum(logn, coeff, s):

@@ -16,8 +16,10 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -308,6 +310,64 @@ def _log_l_at_tau(chr: Character, tau, x_scheme: float, tbl: ps.PrimeTable) -> c
     return aux.v_series_shifted(1.0 + 0j, tau, cutoff, tbl, over_log=True, chr=chr)
 
 
+class _Chain(NamedTuple):
+    """What separates the theorem-2 and theorem-4 pipelines; the target
+    kind also fixes S and m (see aux.make_scheme)."""
+
+    target_kind: str  # supplies the angle targets
+    transfer_kind: str  # its M_x(1) enters the transfer identity
+    transfer_term: Callable[[int], float]  # the transfer adds log of this at q
+    reference: Callable[[float, int, float, float], float]  # (C0, q, eps, x)
+    factor: float  # threshold = factor * reference
+    passes: Callable[[float, float], bool]  # (|L|, threshold): floor or cap
+
+
+_CHAINS = {
+    2: _Chain("B", "C", unit_density,
+              lambda c0, q, eps, x: math.exp(c0) * unit_density(q) * eps * math.log(x),
+              0.5, operator.ge),
+    4: _Chain("Bprime", "Cprime", ramified_product,
+              lambda c0, q, eps, x: (math.pi**2 / 6.0) * math.exp(-c0) * ramified_product(q)
+              / (eps * math.log(x)),
+              2.0, operator.le),
+}
+
+
+def _check_chain(theorem: int, chr: Character, x: float, delta: float,
+                 tbl: ps.PrimeTable | None, tolerance: float,
+                 cert: dio.TauCertificate | None, cfg) -> ChainReport:
+    spec = _CHAINS[theorem]
+    if tbl is None:
+        tbl = ps.sieve(10**6)
+    scheme = aux.make_scheme(spec.target_kind, chr, x, tbl, delta=delta, cfg=cfg)
+    params = scheme.params
+    if cert is None:
+        tg0 = dio.targets_from_scheme(scheme, tbl)
+        tg = dio.AngleTargets(tg0.primes, tg0.targets, tolerance)
+        cert = dio.find_tau(tg)
+    if not cert.success:
+        raise RuntimeError("tau certificate does not meet its tolerance")
+    tau = cert.tau
+    # transfer: sum Lambda chi /(n^{1+i tau} log n) vs M_x(1) + log of the transfer term
+    lhs = aux.v_series_shifted(1.0 + 0j, tau, x, tbl, over_log=True, chr=chr)
+    mx1 = aux.aux_series(1.0 + 0j, aux.WeightScheme(spec.transfer_kind, params), tbl)
+    transfer_defect = abs(lhs - mx1 - math.log(spec.transfer_term(chr.modulus)))
+    abs_l = math.exp(_log_l_at_tau(chr, tau, x, tbl).real)
+    eps = params.epsilon
+    reference = spec.reference(euler_constant(), chr.modulus, eps, x)
+    threshold = spec.factor * reference
+    with mp.workdps(20):
+        tl10 = float(mp.log10(abs(mp.mpf(cert.tau_str)))) if mp.mpf(cert.tau_str) != 0 else 0.0
+    return ChainReport(
+        theorem=theorem, q=chr.modulus, char_label=chr.label, x=x, delta=delta,
+        epsilon=eps, m=params.m, s_const=params.s_const, tau_str=cert.tau_str,
+        tau_log10=tl10, max_defect=cert.max_defect, tolerance=cert.tolerance,
+        transfer_defect=transfer_defect, abs_l=abs_l, reference=reference,
+        threshold=threshold, achieved_ratio=abs_l / reference,
+        passed=spec.passes(abs_l, threshold),
+    )
+
+
 def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
                      tbl: ps.PrimeTable | None = None, tolerance: float = 0.02,
                      cert: dio.TauCertificate | None = None,
@@ -319,39 +379,7 @@ def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
     the truncated prime-sum evaluation.  The floor is
     0.5 * e^C0 (phi(q)/q) * eps log x.
     """
-    if tbl is None:
-        tbl = ps.sieve(10**6)
-    s_const = aux.s1_constant(chr, tbl, cfg)
-    m = aux.choose_m(s_const, 2)
-    params = aux.SchemeParams(x=x, delta=delta, m=m, chr=chr, s_const=s_const)
-    scheme_b = aux.WeightScheme("B", params)
-    scheme_c = aux.WeightScheme("C", params)
-    if cert is None:
-        tg0 = dio.targets_from_scheme(scheme_b, tbl)
-        tg = dio.AngleTargets(tg0.primes, tg0.targets, tolerance)
-        cert = dio.find_tau(tg)
-    if not cert.success:
-        raise RuntimeError("tau certificate does not meet its tolerance")
-    tau = cert.tau
-    # transfer: sum Lambda chi /(n^{1+i tau} log n) vs M_x(1) + log phi(q)/q
-    lhs = aux.v_series_shifted(1.0 + 0j, tau, x, tbl, over_log=True, chr=chr)
-    mx1 = aux.aux_series(1.0 + 0j, scheme_c, tbl)
-    transfer_defect = abs(lhs - mx1 - math.log(unit_density(chr.modulus)))
-    abs_l = math.exp(_log_l_at_tau(chr, tau, x, tbl).real)
-    c0 = euler_constant()
-    eps = params.epsilon
-    reference = math.exp(c0) * unit_density(chr.modulus) * eps * math.log(x)
-    threshold = 0.5 * reference
-    with mp.workdps(20):
-        tl10 = float(mp.log10(abs(mp.mpf(cert.tau_str)))) if mp.mpf(cert.tau_str) != 0 else 0.0
-    return ChainReport(
-        theorem=2, q=chr.modulus, char_label=chr.label, x=x, delta=delta,
-        epsilon=eps, m=m, s_const=s_const, tau_str=cert.tau_str,
-        tau_log10=tl10, max_defect=cert.max_defect, tolerance=cert.tolerance,
-        transfer_defect=transfer_defect, abs_l=abs_l, reference=reference,
-        threshold=threshold, achieved_ratio=abs_l / reference,
-        passed=abs_l >= threshold,
-    )
+    return _check_chain(2, chr, x, delta, tbl, tolerance, cert, cfg)
 
 
 def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
@@ -360,38 +388,7 @@ def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
                      cfg=lfengine.DEFAULT_CONFIG) -> ChainReport:
     """Mirror pipeline: scheme B' targets, scheme C' transfer, upper bound
     |L(1+i tau)| <= 2 * (pi^2 e^-C0/6) prod (p+1)/p / (eps log x)."""
-    if tbl is None:
-        tbl = ps.sieve(10**6)
-    s_const = aux.s2_constant(chr, tbl, cfg)
-    m = aux.choose_m(s_const, 4)
-    params = aux.SchemeParams(x=x, delta=delta, m=m, chr=chr, s_const=s_const)
-    scheme_bp = aux.WeightScheme("Bprime", params)
-    scheme_cp = aux.WeightScheme("Cprime", params)
-    if cert is None:
-        tg0 = dio.targets_from_scheme(scheme_bp, tbl)
-        tg = dio.AngleTargets(tg0.primes, tg0.targets, tolerance)
-        cert = dio.find_tau(tg)
-    if not cert.success:
-        raise RuntimeError("tau certificate does not meet its tolerance")
-    tau = cert.tau
-    lhs = aux.v_series_shifted(1.0 + 0j, tau, x, tbl, over_log=True, chr=chr)
-    mx1 = aux.aux_series(1.0 + 0j, scheme_cp, tbl)
-    transfer_defect = abs(lhs - mx1 - math.log(ramified_product(chr.modulus)))
-    abs_l = math.exp(_log_l_at_tau(chr, tau, x, tbl).real)
-    c0 = euler_constant()
-    eps = params.epsilon
-    reference = (math.pi**2 / 6.0) * math.exp(-c0) * ramified_product(chr.modulus) / (eps * math.log(x))
-    threshold = 2.0 * reference
-    with mp.workdps(20):
-        tl10 = float(mp.log10(abs(mp.mpf(cert.tau_str)))) if mp.mpf(cert.tau_str) != 0 else 0.0
-    return ChainReport(
-        theorem=4, q=chr.modulus, char_label=chr.label, x=x, delta=delta,
-        epsilon=eps, m=m, s_const=s_const, tau_str=cert.tau_str,
-        tau_log10=tl10, max_defect=cert.max_defect, tolerance=cert.tolerance,
-        transfer_defect=transfer_defect, abs_l=abs_l, reference=reference,
-        threshold=threshold, achieved_ratio=abs_l / reference,
-        passed=abs_l <= threshold,
-    )
+    return _check_chain(4, chr, x, delta, tbl, tolerance, cert, cfg)
 
 
 # ---------------------------------------------------------------------------

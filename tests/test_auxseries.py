@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit import auxseries as aux
+from lcrit import lfengine
 from lcrit import primesums as ps
 from lcrit.characters import enumerate_characters
 
@@ -201,6 +202,20 @@ def test_root_inside_inner_circle(scheme_b):
 def test_linear_form_min_on_inner_exceeds_eighth(scheme_b):
     # |W_x| >= 1/8 * (1 - o(1)) on the inner circle by construction
     assert aux.linear_form_min_on_inner(scheme_b) > 0.1
+
+
+def test_rouche_margin_one_aux_series_per_point(scheme_b, tbl, monkeypatch):
+    n = 8
+    pts = aux.inner_circle_points(scheme_b.params, n)
+    ws = [aux.aux_series(s, scheme_b, tbl) for s in pts]
+    defects = [abs(-lfengine.zeta_prime(s).value / lfengine.zeta(s).value - w)
+               for s, w in zip(pts, ws)]
+    two_pass = min(abs(w) for w in ws) - max(defects)
+    calls = []
+    real = aux.aux_series
+    monkeypatch.setattr(aux, "aux_series", lambda *a: calls.append(a) or real(*a))
+    assert aux.rouche_margin(scheme_b, tbl, n=n) == two_pass
+    assert len(calls) == n
 
 
 def test_v_series_shift_at_tau_zero(chr5, tbl):

@@ -101,6 +101,7 @@ def test_conjugate_character_in_group(q):
                    for n in range(q))
         ]
         assert len(match) == 1
+        assert chr.conjugate() is match[0]
 
 
 def test_order_divides_group_order():

@@ -90,11 +90,14 @@ def test_scan_report_csv(tbl):
     assert lines[0].startswith("sigma,t,abs_l")
 
 
-def test_chain_report_roundtrips_to_json(tbl):
-    chr = enumerate_characters(5)[1]
-    rep = sc.check_thm2_chain(chr, x=50.0, delta=0.75, tbl=tbl, tolerance=0.05)
+# theorem 4 needs log x > 4 log m, which chi mod 5 misses at x = 50
+@pytest.mark.parametrize("theorem,q", [(2, 5), (4, 3)], ids=["thm2", "thm4"])
+def test_chain_report_roundtrips_to_json(theorem, q, tbl):
+    chr = enumerate_characters(q)[1]
+    chain = sc.check_thm2_chain if theorem == 2 else sc.check_thm4_chain
+    rep = chain(chr, x=50.0, delta=0.75, tbl=tbl, tolerance=0.05)
     d = rep.to_json()
     json.dumps(d)  # serializable
-    assert d["theorem"] == 2
+    assert d["theorem"] == theorem
     assert d["passed"] in (True, False)
     assert isinstance(d["s_const"], list) and len(d["s_const"]) == 2

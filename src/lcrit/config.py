@@ -12,16 +12,13 @@ from pathlib import Path
 from .lfengine import EvalConfig
 
 DEFAULTS = {
-    "precision_bits": 128,
     "euler_maclaurin_cutoff": 50,
     "bernoulli_terms": 16,
     "branch_anchor_sigma": 6.0,
     "sieve_limit": 10**6,
-    "seed": 0,
 }
 
-_INT_KEYS = {"precision_bits", "euler_maclaurin_cutoff", "bernoulli_terms",
-             "sieve_limit", "seed"}
+_INT_KEYS = {"euler_maclaurin_cutoff", "bernoulli_terms", "sieve_limit"}
 _FLOAT_KEYS = {"branch_anchor_sigma"}
 
 DEFAULT_PATH = "lcrit.cfg"
@@ -65,7 +62,6 @@ def load_config(path: str | None = None) -> dict:
 
 def eval_config(cfg: dict) -> EvalConfig:
     return EvalConfig(
-        precision_bits=cfg["precision_bits"],
         euler_maclaurin_cutoff=cfg["euler_maclaurin_cutoff"],
         bernoulli_terms=cfg["bernoulli_terms"],
         branch_anchor_sigma=cfg["branch_anchor_sigma"],

@@ -4,8 +4,9 @@ count_zeros walks the rectangle boundary tracking the continuous argument of
 zeta', refining steps until every increment is below pi/2; the winding number
 then equals the zero count (the double pole at s = 1 contributes -2 when it
 lies strictly inside, and the count is corrected for it).  find_critical_points
-seeds a grid, Newton-refines with the term-wise zeta'', deduplicates, and
-certifies every zero by an independent high-precision residual.
+seeds a grid, Newton-refines with zeta' and zeta'' from one evaluator pass,
+and certifies each distinct zero once by an independent high-precision
+residual.
 """
 
 from __future__ import annotations
@@ -162,12 +163,14 @@ def count_zeros(rect: SearchRect, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
 
 
 def _newton(s: complex, cfg: EvalConfig, max_steps: int = 40) -> complex | None:
+    # Outside -0.9 < sigma, |t| < 1e4 the evaluator is off its sweet spot.
+    # Right of sigma = 10, zeta'(s) = -log 2 * 2^-s * (1 + O((2/3)^sigma)), so
+    # each step adds about 1/log 2 to sigma and an iterate there never returns.
     for _ in range(max_steps):
-        if not (-0.9 < s.real < 50 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
-            return None  # wandered out of the evaluator's sweet spot
+        if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
+            return None
         try:
-            fp = lfengine.zeta_prime(s, cfg).value
-            fpp = lfengine.zeta_second(s, cfg).value
+            fp, fpp = lfengine.zeta_derivatives(s, cfg)
         except (lfengine.ZetaPoleError, ZeroDivisionError):
             return None
         if fpp == 0:
@@ -179,6 +182,9 @@ def _newton(s: complex, cfg: EvalConfig, max_steps: int = 40) -> complex | None:
     return None
 
 
+SAME_ZERO = 1e-9  # converged Newton copies of one zero agree to ~1e-14
+
+
 def _residual_mp(s: complex, dps: int = 35) -> float:
     with mp.workdps(dps):
         return float(abs(mp.zeta(mp.mpc(s), derivative=1)))
@@ -188,10 +194,11 @@ def find_critical_points(rect: SearchRect,
                          cfg: EvalConfig = DEFAULT_CONFIG) -> CriticalPointList:
     """Newton-refined zeros of zeta' in the rectangle.
 
-    Grid seeds at the rect resolution; each converged zero is certified by an
-    independent mpmath residual at ~35 digits.  If the number of distinct
-    zeros does not match count_zeros the list is returned with
-    ``complete = False``.
+    Grid seeds at the rect resolution; each distinct converged zero is
+    certified by an independent mpmath residual at ~35 digits.  Newton stops
+    at |step| < 1e-13, so a point within SAME_ZERO of a certified zero is a
+    copy of it and is skipped.  If the number of distinct zeros does not
+    match count_zeros the list is returned with ``complete = False``.
     """
     n_expected = count_zeros(rect, cfg)
     res = rect.grid_resolution
@@ -210,24 +217,17 @@ def find_critical_points(rect: SearchRect,
                 continue
             if abs(z - 1) < 1e-3:
                 continue
+            if any(abs(cp.point - z) < SAME_ZERO for cp in found):
+                continue
             residual = _residual_mp(z)
             if residual > 1e-8:
                 continue
-            dup = None
-            for idx, cp in enumerate(found):
-                if abs(cp.point - z) < 10 * res:
-                    dup = idx
-                    break
             box = SearchRect(
                 sigma_min=z.real - res, sigma_max=z.real + res,
                 t_min=z.imag - res, t_max=z.imag + res,
                 grid_resolution=res / 4,
             )
-            cp = CriticalPoint(z.real, z.imag, residual, box)
-            if dup is None:
-                found.append(cp)
-            elif residual < found[dup].residual:
-                found[dup] = cp
+            found.append(CriticalPoint(z.real, z.imag, residual, box))
     found.sort(key=lambda c: (c.gamma_prime, c.beta_prime))
     out = CriticalPointList(found)
     out.expected_count = n_expected

@@ -18,11 +18,17 @@ def dirichlet_sum(logn, coeff, s):
 
 
 def hurwitz_main_sum(a, n_terms, s, deriv):
-    """Sum over n < n_terms of (-log(n+a))^deriv * (n+a)^(-s)."""
+    """Sums over n < n_terms of (-log(n+a))^d * (n+a)^(-s), d = 0..deriv.
+
+    One exp pass serves every order; returns the deriv + 1 sums as a tuple.
+    """
     if n_terms <= 0:
-        return 0j
+        return (0j,) * (deriv + 1)
     u = np.log(np.arange(n_terms, dtype=np.float64) + a)
     terms = np.exp(-s * u)
-    if deriv:
-        terms = terms * (-u) ** deriv
-    return complex(np.sum(terms))
+    sums = [complex(terms.sum())]
+    if deriv >= 1:
+        sums.append(complex((terms * -u).sum()))
+    if deriv >= 2:
+        sums.append(complex((terms * (u * u)).sum()))
+    return tuple(sums)

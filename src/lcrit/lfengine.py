@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-import numpy as np
 from sympy import bernoulli
 
 from . import kernels
@@ -39,7 +38,6 @@ class ComplexEval(NamedTuple):
 
 @dataclass(frozen=True)
 class EvalConfig:
-    precision_bits: int = 128
     euler_maclaurin_cutoff: int = 50
     bernoulli_terms: int = 16
     branch_anchor_sigma: float = 6.0
@@ -55,16 +53,16 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
-_BERN = [float(bernoulli(2 * k)) for k in range(0, 64)]  # B_0, B_2, B_4, ...
-_FACT = [math.factorial(2 * k) for k in range(0, 64)]
+_BK = [float(bernoulli(2 * k)) / math.factorial(2 * k) for k in range(64)]  # B_2k/(2k)!
 
 
 def _cutoff(t: float, cfg: EvalConfig) -> int:
     return max(cfg.euler_maclaurin_cutoff, int(abs(t) / 3) + 20)
 
 
-def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig, deriv: int = 0):
-    """R(s, a) = zeta(s, a) - 1/(s-1) and its first two s-derivatives.
+def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig,
+                 deriv: int = 0) -> list[ComplexEval]:
+    """R(s, a) = zeta(s, a) - 1/(s-1) and its s-derivatives, orders 0..deriv.
 
     Euler-Maclaurin with N main terms and M Bernoulli corrections:
 
@@ -73,7 +71,8 @@ def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig, deriv: int = 0):
 
     with P_k(s) = s(s+1)...(s+2k-2).  The pole term (N+a)^{1-s}/(s-1) minus
     1/(s-1) is expanded in a series in eps = 1 - s near s = 1 so that R and
-    its derivatives stay finite there.
+    its derivatives stay finite there.  One pass yields every order up to
+    deriv; the returned list is indexed by order.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1, or 2")
@@ -89,96 +88,55 @@ def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig, deriv: int = 0):
     # regularized pole part: (N+a)^{1-s}/(s-1) - 1/(s-1)
     eps = 1.0 - s
     if abs(eps) < 0.25:
-        # series in eps: R1 = -sum_{j>=1} eps^{j-1} u^j / j!
-        r1 = 0j
-        r1p = 0j
-        r1pp = 0j
-        epspow = 1.0 + 0j  # eps^{j-1}
-        ujfac = u  # u^j / j!
-        j = 1
-        while True:
-            r1 -= epspow * ujfac
-            if abs(epspow * ujfac) < 1e-30 and j > 3:
+        # series in eps: R1 = -sum_{j>=1} eps^{j-1} u^j / j!; step m adds the
+        # eps^m terms of R1, R1' and R1'' (no dividing by eps)
+        r1 = [0j, 0j, 0j]
+        epspow = 1.0 + 0j  # eps^m
+        f1, f2, f3 = u, u * u / 2.0, u**3 / 6.0  # u^j / j! for j = m+1, m+2, m+3
+        for m in range(200):
+            terms = (-epspow * f1, (m + 1) * epspow * f2, -(m + 1) * (m + 2) * epspow * f3)
+            r1 = [r + x for r, x in zip(r1, terms)]
+            if m > 2 and max(map(abs, terms)) < 1e-30:
                 break
             epspow *= eps
-            j += 1
-            ujfac *= u / j
-            if j > 200:
-                break
-        # each derivative gets its own series (no dividing by eps)
-        if deriv >= 1:
-            r1p = 0j
-            epspow = 1.0 + 0j  # eps^{j-2}
-            ujfac = u * u / 2.0  # u^j / j!
-            j = 2
-            while True:
-                r1p += (j - 1) * epspow * ujfac
-                if abs(epspow * ujfac * j) < 1e-30 and j > 4:
-                    break
-                epspow *= eps
-                j += 1
-                ujfac *= u / j
-                if j > 200:
-                    break
-        if deriv >= 2:
-            r1pp = 0j
-            epspow = 1.0 + 0j  # eps^{j-3}
-            ujfac = u**3 / 6.0  # u^j / j!
-            j = 3
-            while True:
-                r1pp -= (j - 1) * (j - 2) * epspow * ujfac
-                if abs(epspow * ujfac * j * j) < 1e-30 and j > 5:
-                    break
-                epspow *= eps
-                j += 1
-                ujfac *= u / j
-                if j > 200:
-                    break
+            f1, f2, f3 = f2, f3, f3 * (u / (m + 4))
     else:
         sm1 = s - 1.0
         term1 = cmath.exp(-sm1 * u) / sm1  # (N+a)^{1-s}/(s-1)
-        r1 = term1 - 1.0 / sm1
         g = -u - 1.0 / sm1
-        r1p = term1 * g + 1.0 / sm1**2
-        r1pp = term1 * (g * g + 1.0 / sm1**2) - 2.0 / sm1**3
+        r1 = [term1 - 1.0 / sm1, term1 * g + 1.0 / sm1**2,
+              term1 * (g * g + 1.0 / sm1**2) - 2.0 / sm1**3]
+
+    # Bernoulli corrections.  P, dP, ddP are P_k(s) and its first two
+    # s-derivatives, extended by the rising-factorial recurrence
+    # P_k = P_{k-1} (s+2k-3)(s+2k-2) and the product rule, so no step divides
+    # by s+j (s = 0, -1, ... are ordinary points);
+    # S_d = sum_k B_2k/(2k)! (N+a)^{-(s+2k-1)} P_k^(d).
+    P, dP, ddP = s, 1.0 + 0j, 0j  # P_1(s) = s
+    S0 = S1 = S2 = 0j
+    for k in range(1, M + 1):
+        if k > 1:
+            for sj in (s + (2 * k - 3), s + (2 * k - 2)):
+                ddP = ddP * sj + 2.0 * dP
+                dP = dP * sj + P
+                P *= sj
+        e = cmath.exp(-(s + 2 * k - 1) * u)  # (N+a)^{-(s+2k-1)}
+        be = _BK[k] * e
+        S0 += be * P
+        S1 += be * dP
+        S2 += be * ddP
+    last = abs(_BK[M] * P * e)
+    # d/ds of (N+a)^{-(s+2k-1)} brings down -u
+    tail = (S0, S1 - u * S0, S2 - 2.0 * u * S1 + u * u * S0)
 
     # half term (N+a)^{-s}/2 and its derivatives
     half = 0.5 * base
-    halfp = -u * half
-    halfpp = u * u * half
-
-    # Bernoulli corrections
-    tail = 0j
-    tailp = 0j
-    tailpp = 0j
-    last = 0.0
-    for k in range(1, M + 1):
-        bk = _BERN[k] / _FACT[k]
-        # P_k(s) = prod_{j=0}^{2k-2} (s+j); h1 = sum 1/(s+j); h2 = sum 1/(s+j)^2
-        P = 1.0 + 0j
-        h1 = 0j
-        h2 = 0j
-        for j in range(2 * k - 1):
-            sj = s + j
-            P *= sj
-            h1 += 1.0 / sj
-            h2 += 1.0 / sj**2
-        e = cmath.exp(-(s + 2 * k - 1) * u)
-        t0 = bk * P * e
-        tail += t0
-        if deriv >= 1:
-            tailp += t0 * (h1 - u)
-        if deriv >= 2:
-            tailpp += t0 * ((h1 - u) ** 2 - h2)
-        last = abs(t0)
-
-    err = 2.0 * last + 1e-15 * (abs(main) + abs(r1) + N * 1e-16)
-
-    if deriv == 0:
-        return ComplexEval(main + r1 + half + tail, err)
-    if deriv == 1:
-        return ComplexEval(main + r1p + halfp + tailp, err * (u + 1))
-    return ComplexEval(main + r1pp + halfpp + tailpp, err * (u + 1) ** 2)
+    halves = (half, -u * half, u * u * half)
+    out = []
+    for d in range(deriv + 1):
+        err = 2.0 * last + 1e-15 * (abs(main[d]) + abs(r1[0]) + N * 1e-16)
+        out.append(ComplexEval(main[d] + r1[d] + halves[d] + tail[d], err * (u + 1) ** d))
+    return out
 
 
 def hurwitz_regularized(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG,
@@ -186,32 +144,39 @@ def hurwitz_regularized(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG,
     """Public wrapper for R(s, a) = zeta(s, a) - 1/(s-1), deriv in {0, 1, 2}."""
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    return _hurwitz_reg(s, a, cfg, deriv)
+    return _hurwitz_reg(s, a, cfg, deriv)[deriv]
 
 
 # ---------------------------------------------------------------------------
 # Riemann zeta and derivatives
 
 
-def zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
+def _zeta_orders(s: complex, cfg: EvalConfig, deriv: int) -> list[ComplexEval]:
+    """zeta^(d)(s) for d = 0..deriv: R(s, 1) plus the pole part's derivatives."""
     if abs(s - 1.0) < 1e-12:
-        raise ZetaPoleError("zeta has a pole at s = 1")
-    r = _hurwitz_reg(s, 1.0, cfg, 0)
-    return ComplexEval(r.value + 1.0 / (s - 1.0), r.error_radius)
+        raise ZetaPoleError("zeta and its derivatives have a pole at s = 1")
+    sm1 = s - 1.0
+    pole = (1.0 / sm1, -1.0 / sm1**2, 2.0 / sm1**3)
+    return [ComplexEval(r.value + p, r.error_radius)
+            for r, p in zip(_hurwitz_reg(s, 1.0, cfg, deriv), pole)]
+
+
+def zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
+    return _zeta_orders(s, cfg, 0)[0]
 
 
 def zeta_prime(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    if abs(s - 1.0) < 1e-12:
-        raise ZetaPoleError("zeta' has a pole at s = 1")
-    r = _hurwitz_reg(s, 1.0, cfg, 1)
-    return ComplexEval(r.value - 1.0 / (s - 1.0) ** 2, r.error_radius)
+    return _zeta_orders(s, cfg, 1)[1]
 
 
 def zeta_second(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    if abs(s - 1.0) < 1e-12:
-        raise ZetaPoleError("zeta'' has a pole at s = 1")
-    r = _hurwitz_reg(s, 1.0, cfg, 2)
-    return ComplexEval(r.value + 2.0 / (s - 1.0) ** 3, r.error_radius)
+    return _zeta_orders(s, cfg, 2)[2]
+
+
+def zeta_derivatives(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+    """(zeta'(s), zeta''(s)) from one Euler-Maclaurin pass."""
+    _, d1, d2 = _zeta_orders(s, cfg, 2)
+    return d1.value, d2.value
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +188,37 @@ def _check_char(chr: Character) -> None:
         raise ValueError("principal characters are not supported here")
 
 
+def _l_orders(s: complex, chr: Character, cfg: EvalConfig,
+              deriv: int) -> list[ComplexEval]:
+    """L^(d)(s, chi) for d = 0..deriv, one Hurwitz pass per residue.
+
+    L = q^{-s} T with T = sum_a chi(a) R(s, a/q); the product rule gives
+    L' = q^{-s} (T' - T log q) and L'' = q^{-s} (T'' - 2 T' log q + T log^2 q).
+    """
+    _check_char(chr)
+    q = chr.modulus
+    coeff = chr.coeff_array()
+    tot = [0j] * (deriv + 1)
+    err = [0.0] * (deriv + 1)
+    for a in range(1, q + 1):
+        c = coeff[a % q]
+        if c == 0:
+            continue
+        for d, r in enumerate(_hurwitz_reg(s, a / q, cfg, deriv)):
+            tot[d] += c * r.value
+            err[d] += abs(c) * r.error_radius
+    lq = math.log(q)
+    qs = cmath.exp(-complex(s) * lq)
+    vals = [tot[0]]
+    if deriv >= 1:
+        vals.append(tot[1] - lq * tot[0])
+    if deriv >= 2:
+        vals.append(tot[2] - 2 * lq * tot[1] + lq * lq * tot[0])
+    # orders d >= 1 allow for rounding in their log^d q * T term
+    return [ComplexEval(qs * v, abs(qs) * (e + (lq**d * 1e-14 * abs(tot[0]) if d else 0.0)))
+            for d, (v, e) in enumerate(zip(vals, err))]
+
+
 def dirichlet_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG,
                 deriv: int = 0) -> ComplexEval:
     """L(s, chi), L'(s, chi), or L''(s, chi) for non-principal chi.
@@ -230,41 +226,7 @@ def dirichlet_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG,
     Entire for non-principal chi, so s = 1 is an ordinary point: the Hurwitz
     pole terms cancel exactly since sum_a chi(a) = 0.
     """
-    _check_char(chr)
-    q = chr.modulus
-    coeff = chr.coeff_array()
-    total = 0j
-    err = 0.0
-    for a in range(1, q + 1):
-        c = coeff[a % q]
-        if c == 0:
-            continue
-        r = _hurwitz_reg(s, a / q, cfg, deriv)
-        total += c * r.value
-        err += abs(c) * r.error_radius
-        if deriv >= 1:
-            # chain terms from d/ds of q^{-s} applied below
-            pass
-    lq = math.log(q)
-    qs = cmath.exp(-complex(s) * lq)
-    if deriv == 0:
-        return ComplexEval(qs * total, abs(qs) * err)
-    # need lower-order regularized sums for the product rule
-    low = []
-    for d in range(deriv):
-        tot = 0j
-        for a in range(1, q + 1):
-            c = coeff[a % q]
-            if c == 0:
-                continue
-            tot += c * _hurwitz_reg(s, a / q, cfg, d).value
-        low.append(tot)
-    if deriv == 1:
-        val = qs * (total - lq * low[0])
-        return ComplexEval(val, abs(qs) * (err + lq * 1e-14 * abs(low[0])))
-    # deriv == 2
-    val = qs * (total - 2 * lq * low[1] + lq * lq * low[0])
-    return ComplexEval(val, abs(qs) * (err + lq * lq * 1e-14 * abs(low[0])))
+    return _l_orders(s, chr, cfg, deriv)[deriv]
 
 
 def dirichlet_l_prime(s: complex, chr: Character,
@@ -275,8 +237,7 @@ def dirichlet_l_prime(s: complex, chr: Character,
 def l_log_derivative(s: complex, chr: Character,
                      cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
     """L'/L(s, chi), non-principal chi; raises on a zero of L."""
-    lv = dirichlet_l(s, chr, cfg, 0)
-    lp = dirichlet_l(s, chr, cfg, 1)
+    lv, lp = _l_orders(s, chr, cfg, 1)
     if abs(lv.value) < 1e-14:
         raise ZetaPoleError("L vanishes at this point; L'/L undefined")
     val = lp.value / lv.value

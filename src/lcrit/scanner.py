@@ -449,8 +449,8 @@ def scan(points, chr: Character, cfg=lfengine.DEFAULT_CONFIG,
          source: str = "sigma_grid") -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
-    Points must have t > e (so log log t > 0); evaluation failures are
-    recorded and skipped without aborting the scan.
+    Points must have t > e (so log log t > 0); an evaluator error is
+    recorded as "Type: message" and the scan continues.
     """
     rep = ScanReport(q=chr.modulus, char_label=chr.label, source=source,
                      bounds=theorem_bounds(chr.modulus))
@@ -466,12 +466,13 @@ def scan(points, chr: Character, cfg=lfengine.DEFAULT_CONFIG,
             rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
                              norm_small=val * llt, q=chr.modulus,
                              char_label=chr.label, source=source)
-        except Exception as exc:  # recorded, scan continues
+        except (lfengine.ZetaPoleError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             rep.errors += 1
             rec = ScanRecord(point=s, abs_l=math.nan, norm_large=math.nan,
                              norm_small=math.nan, q=chr.modulus,
                              char_label=chr.label, source=source,
-                             error=type(exc).__name__)
+                             error=f"{type(exc).__name__}: {exc}")
             rep.records.append(rec)
             rep.running_max_large.append(cur_max)
             rep.running_min_small.append(cur_min)

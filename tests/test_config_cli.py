@@ -16,11 +16,11 @@ def test_parse_config_text():
     cfg = cfgmod.parse_config_text(
         """
         # a comment
-        precision_bits = 96
+        bernoulli_terms = 12
         branch_anchor_sigma = 7.5  # trailing comment
         """
     )
-    assert cfg == {"precision_bits": 96, "branch_anchor_sigma": 7.5}
+    assert cfg == {"bernoulli_terms": 12, "branch_anchor_sigma": 7.5}
 
 
 def test_parse_rejects_unknown_key():
@@ -49,7 +49,7 @@ def test_env_var_wins(tmp_path, monkeypatch):
 def test_eval_config_conversion():
     cfg = cfgmod.load_config(None)
     ec = cfgmod.eval_config(cfg)
-    assert ec.precision_bits == cfg["precision_bits"]
+    assert ec.bernoulli_terms == cfg["bernoulli_terms"]
 
 
 def test_cli_chars_json(tmp_path, capsys):

@@ -74,3 +74,31 @@ def test_all_zeros_right_of_half():
     pts = cz.find_critical_points(rect)
     assert pts.complete and len(pts) >= 3
     assert all(p.beta_prime > 0.5 for p in pts)
+
+
+def test_close_zeros_are_both_kept():
+    # 0.8646+76.3628i and 1.3285+78.6624i lie 2.34 apart; each is reported
+    # with its own certified residual (reference values from mpmath)
+    ref = [complex(0.8646228644261132, 76.36280789646705),
+           complex(1.3285155423330834, 78.66240594240666)]
+    pts = cz.find_critical_points(cz.SearchRect(0.0, 3.0, 75.0, 80.0, grid_resolution=0.25))
+    assert pts.complete and pts.expected_count == 2 and len(pts) == 2
+    for p, z in zip(pts, ref):
+        assert abs(p.point - z) < 1e-8
+        assert p.residual <= 1e-8
+
+
+@pytest.mark.parametrize("t_min,n_zeros", [(40.0, 1), (75.0, 2)])
+def test_each_zero_certified_once(t_min, n_zeros, monkeypatch):
+    calls = []
+    real = cz._residual_mp
+
+    def counted(s, *args):
+        calls.append(s)
+        return real(s, *args)
+
+    monkeypatch.setattr(cz, "_residual_mp", counted)
+    pts = cz.find_critical_points(cz.SearchRect(0.0, 3.0, t_min, t_min + 5.0, grid_resolution=0.25))
+    assert pts.complete and len(pts) == n_zeros
+    assert len(calls) == n_zeros
+    assert sorted(calls, key=lambda z: z.imag) == [p.point for p in pts]

@@ -46,18 +46,22 @@ def test_dirichlet_sum_matches_fsum(n, sr, si, seed):
 @settings(max_examples=60, deadline=None)
 def test_hurwitz_main_sum_matches_mpmath(a, n, sr, si, deriv):
     s = complex(sr, si)
-    with mp.workdps(40):
-        ms = mp.mpc(sr, si)
-        terms = [(-mp.log(k + mp.mpf(a))) ** deriv * mp.power(k + mp.mpf(a), -ms)
-                 for k in range(n)]
-        ref = complex(mp.fsum(terms))
-        mass = float(mp.fsum(abs(t) for t in terms))
-    assert abs(kernels.hurwitz_main_sum(a, n, s, deriv) - ref) <= 1e-12 * (1.0 + mass)
+    got = kernels.hurwitz_main_sum(a, n, s, deriv)
+    assert len(got) == deriv + 1
+    for d, val in enumerate(got):
+        with mp.workdps(40):
+            ms = mp.mpc(sr, si)
+            terms = [(-mp.log(k + mp.mpf(a))) ** d * mp.power(k + mp.mpf(a), -ms)
+                     for k in range(n)]
+            ref = complex(mp.fsum(terms))
+            mass = float(mp.fsum(abs(t) for t in terms))
+        assert abs(val - ref) <= 1e-12 * (1.0 + mass)
 
 
 def test_empty_inputs():
     assert kernels.dirichlet_sum(np.empty(0), np.empty(0, complex), 2.0 + 0j) == 0j
-    assert kernels.hurwitz_main_sum(0.5, 0, 2.0 + 0j, 0) == 0j
+    assert kernels.hurwitz_main_sum(0.5, 0, 2.0 + 0j, 0) == (0j,)
+    assert kernels.hurwitz_main_sum(0.5, 0, 2.0 + 0j, 2) == (0j, 0j, 0j)
 
 
 def test_dirichlet_sum_simple_values():
@@ -70,10 +74,11 @@ def test_dirichlet_sum_simple_values():
 
 def test_hurwitz_sum_first_derivative_sign():
     # derivative terms carry (-log(n+a))^deriv
-    val0 = kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 0)
-    val1 = kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 1)
-    val2 = kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 2)
+    val0, val1, val2 = kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 2)
     assert val0.real > 0 and val1.real < 0 and val2.real > 0
+    # each order agrees with a pass that stops at it
+    assert kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 0) == (val0,)
+    assert kernels.hurwitz_main_sum(1.0, 50, 3.0 + 0j, 1) == (val0, val1)
     assert val0.imag == val1.imag == val2.imag == 0.0
 
 
@@ -94,6 +99,7 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         ("dirichlet_sum", lambda: aux.v_series(2.0 + 0j, 1e4, tbl)),
         ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
+        ("hurwitz_main_sum", lambda: lfengine.zeta_derivatives(2.0 + 1j)),
     ]
     for kernel, call in callers:
         before = counts[kernel]

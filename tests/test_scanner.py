@@ -90,6 +90,29 @@ def test_scan_report_csv(tbl):
     assert lines[0].startswith("sigma,t,abs_l")
 
 
+def test_scan_records_evaluator_errors(monkeypatch):
+    chr = enumerate_characters(5)[1]
+    real = sc.lfengine.dirichlet_l
+
+    def flaky(s, chr, cfg):
+        if s.imag > 100:
+            raise sc.lfengine.ZetaPoleError("L vanishes here")
+        return real(s, chr, cfg)
+
+    monkeypatch.setattr(sc.lfengine, "dirichlet_l", flaky)
+    rep = sc.scan([complex(1.0, 50.0), complex(1.0, 150.0), complex(1.0, 60.0)], chr)
+    assert rep.errors == 1
+    assert [r.error for r in rep.records] == ["", "ZetaPoleError: L vanishes here", ""]
+    assert math.isnan(rep.records[1].abs_l)
+    assert rep.running_max_large[1] == rep.running_max_large[0]
+    assert "ZetaPoleError: L vanishes here" in rep.to_csv()
+
+    # anything but an evaluator error is a bug and propagates
+    monkeypatch.setattr(sc.lfengine, "dirichlet_l", lambda s, chr, cfg: None)
+    with pytest.raises(AttributeError):
+        sc.scan([complex(1.0, 50.0)], chr)
+
+
 # theorem 4 needs log x > 4 log m, which chi mod 5 misses at x = 50
 @pytest.mark.parametrize("theorem,q", [(2, 5), (4, 3)], ids=["thm2", "thm4"])
 def test_chain_report_roundtrips_to_json(theorem, q, tbl):

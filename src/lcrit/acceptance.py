@@ -11,7 +11,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import auxseries as aux

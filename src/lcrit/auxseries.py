@@ -39,6 +39,14 @@ _TABLES = {
 }
 
 
+def _decode(tag) -> tuple[bool, int]:
+    """(negated, chi exponent) of a _TABLES entry: the weight is
+    (-1)^negated * chi^exponent, exponent 0, 1 or -1 (chibar)."""
+    if isinstance(tag, int):
+        return tag == -1, 0
+    return tag.startswith("-"), -1 if tag.endswith("bar") else 1
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Shared parameters (x, delta, m, chi) of a weight scheme.
@@ -78,6 +86,11 @@ class SchemeParams:
         e = self.epsilon
         return (self.x**e, self.m * self.x**e, self.x**self.delta, self.x)
 
+    def range_index(self, p):
+        """Weight range of p (scalar or array): 0..3 for p <= x, ranges
+        left-open and right-closed at the breakpoints, and 4 beyond x."""
+        return np.searchsorted(self.breakpoints(), p, side="left")
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -92,41 +105,21 @@ class WeightScheme:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}")
 
-    def _chi_factor(self, tag, chi_p):
-        if tag == "chi":
-            return chi_p
-        if tag == "-chi":
-            return -chi_p
-        if tag == "chibar":
-            return np.conj(chi_p)
-        if tag == "-chibar":
-            return -np.conj(chi_p)
-        return np.full_like(chi_p, complex(tag))
-
     def prime_weights(self, primes: np.ndarray) -> np.ndarray:
-        """Weight at each prime (complex128), vectorized.
-
-        Range boundaries are left-open, right-closed; primes beyond x get 0.
-        """
+        """Weight at each prime (complex128), vectorized; primes beyond x get 0."""
         pr = self.params
         primes = np.asarray(primes, dtype=np.int64)
-        pq, t1, t2, t3, t4 = _TABLES[self.kind]
-        b1, b2, b3, b4 = pr.breakpoints()
+        pq, *tags = _TABLES[self.kind]
         chi_p = pr.chr.coeff_array()[primes % pr.chr.modulus]
-        pf = primes.astype(np.float64)
         out = np.zeros(len(primes), dtype=np.complex128)
-        ranges = [
-            (pf <= b1, t1),
-            ((pf > b1) & (pf <= b2), t2),
-            ((pf > b2) & (pf <= b3), t3),
-            ((pf > b3) & (pf <= b4), t4),
-        ]
-        for mask, tag in ranges:
-            vals = self._chi_factor(tag, chi_p)
-            out[mask] = vals[mask]
+        rng = pr.range_index(primes)
+        for j, tag in enumerate(tags):
+            neg, e = _decode(tag)
+            mask = rng == j
+            vals = 1.0 if e == 0 else chi_p[mask] if e == 1 else np.conj(chi_p[mask])
+            out[mask] = -vals if neg else vals
         if pq is not None:
-            divq = pr.chr.modulus % primes == 0
-            out[divq & (pf <= b4)] = complex(pq)
+            out[(pr.chr.modulus % primes == 0) & (rng < 4)] = complex(pq)
         return out
 
     def power_weights(self, tbl: ps.PrimeTable) -> np.ndarray:
@@ -143,33 +136,17 @@ class WeightScheme:
     def prime_weight_angle(self, p: int) -> Fraction:
         """Exact angle (in turns) of the weight at prime p <= x."""
         pr = self.params
-        if p > pr.x:
+        rng = int(pr.range_index(p))
+        if rng == 4:
             raise ValueError("p beyond the scheme range")
-        pq, t1, t2, t3, t4 = _TABLES[self.kind]
-        b1, b2, b3, b4 = pr.breakpoints()
-        if pq is not None and pr.chr.modulus % p == 0:
-            tag = pq
-        elif p <= b1:
-            tag = t1
-        elif p <= b2:
-            tag = t2
-        elif p <= b3:
-            tag = t3
-        else:
-            tag = t4
-        if isinstance(tag, int):
-            return Fraction(0) if tag == 1 else Fraction(1, 2)
-        ang = pr.chr.angle(p)
-        if ang is None:
-            raise ValueError(f"weight vanishes at p={p} (p | q in a chi range)")
-        if tag == "chi":
-            return ang
-        if tag == "-chi":
-            return (ang + Fraction(1, 2)) % 1
-        if tag == "chibar":
-            return (-ang) % 1
-        # "-chibar"
-        return (Fraction(1, 2) - ang) % 1
+        pq, *tags = _TABLES[self.kind]
+        neg, e = _decode(pq if pq is not None and pr.chr.modulus % p == 0 else tags[rng])
+        ang = Fraction(0)
+        if e:
+            ang = pr.chr.angle(p)
+            if ang is None:
+                raise ValueError(f"weight vanishes at p={p} (p | q in a chi range)")
+        return (e * ang + Fraction(int(neg), 2)) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +242,6 @@ def make_scheme(kind: str, chr: Character, x: float, tbl: ps.PrimeTable,
 # The series themselves
 
 
-def v_series(s: complex, x: float, tbl: ps.PrimeTable) -> complex:
-    """V_x(s) = sum_{n<=x} Lambda(n)/n^s (all weights 1)."""
-    pp = tbl.prime_powers(x)
-    return kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn),
-        np.ascontiguousarray(pp.logp.astype(np.complex128)),
-        complex(s),
-    )
-
-
 _PHASE_CACHE: dict = {}
 
 
@@ -310,17 +277,10 @@ def v_series_shifted(s: complex, tau, x: float, tbl: ps.PrimeTable,
     The phase tau * log n is reduced mod 2 pi at full precision per prime
     power, after which the sum runs in double precision.
     """
-    pp = tbl.prime_powers(x)
-    phases = _shift_phases(tau, x, tbl)
-    if over_log:
-        coeff = phases / pp.k
-    else:
-        coeff = phases * pp.logp
+    weights = _shift_phases(tau, x, tbl)
     if chr is not None:
-        coeff = coeff * ps.weights_for_character(chr, pp.n)
-    return kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s)
-    )
+        weights = weights * ps.weights_for_character(chr, tbl.prime_powers(x).n)
+    return ps.power_weighted_sum(s, x, weights, tbl, over_log=over_log)
 
 
 def aux_series(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
@@ -408,12 +368,11 @@ def finite_x_constant(scheme: WeightScheme, tbl: ps.PrimeTable) -> FiniteXConsta
     pp = tbl.prime_powers(pr.x)
     terms = scheme.power_weights(tbl) * pp.logp / pp.n.astype(np.float64)
     bps = pr.breakpoints()
-    # range j holds b_{j-1} < p <= b_j, as in prime_weights
-    rng = np.searchsorted(np.asarray(bps), pp.p.astype(np.float64), side="left")
+    rng = pr.range_index(pp.p)
     sums = [complex(np.sum(terms[rng == j])) for j in range(4)]
-    tags = _TABLES[scheme.kind][2:]
+    signs = [-1 if _decode(t)[0] else 1 for t in _TABLES[scheme.kind][2:]]
     shares = [pr.s_const] + [
-        t * math.log(hi / lo) for t, lo, hi in zip(tags, bps[:-1], bps[1:])
+        t * math.log(hi / lo) for t, lo, hi in zip(signs, bps[:-1], bps[1:])
     ]
     residuals = tuple(sm - sh for sm, sh in zip(sums, shares))
     return FiniteXConstant(sum(sums), model, residuals)
@@ -437,10 +396,11 @@ def aux_series_derivative(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) 
     if scheme.kind not in ("B", "Bprime"):
         raise ValueError("derivative used for kinds B and Bprime only")
     pp = tbl.prime_powers(pr.x)
+    # not through power_weighted_sum: its weights * log n argument would stay
+    # alive beside the coefficients, one more complex array per prime power
+    # (10 MB more peak RSS at x = 1e7)
     coeff = -scheme.power_weights(tbl) * pp.logp * pp.logn
-    return kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s)
-    )
+    return kernels.dirichlet_sum(pp.logn, coeff, complex(s))
 
 
 def newton_root(scheme: WeightScheme, tbl: ps.PrimeTable,
@@ -490,14 +450,7 @@ def inner_circle_points(pr: SchemeParams, n: int = 256) -> np.ndarray:
 
 def linear_form_min_on_inner(scheme: WeightScheme, n: int = 256) -> float:
     """min |linear form| over the inner circle boundary."""
-    pts = inner_circle_points(scheme.params, n)
-    if scheme.kind == "B":
-        vals = [wx_linear_form(s, scheme.params) for s in pts]
-    elif scheme.kind == "Bprime":
-        vals = [zx_linear_form(s, scheme.params) for s in pts]
-    else:
-        raise ValueError("kinds B and Bprime only")
-    return min(abs(v) for v in vals)
+    return min(abs(linear_form(s, scheme)) for s in inner_circle_points(scheme.params, n))
 
 
 def root_in_inner_circle(scheme: WeightScheme, root: complex | None = None) -> bool:
@@ -551,17 +504,8 @@ def m_series_ramified_check(scheme: WeightScheme, tbl: ps.PrimeTable,
     sign = 1.0 if scheme.kind == "C" else -1.0
     # c(p) = sign at ramified primes (they all sit below x^eps)
     coeff = (sign ** pp.k[ram].astype(np.float64)) / pp.k[ram]
-    lhs = kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn[ram]),
-        np.ascontiguousarray(coeff.astype(np.complex128)),
-        complex(s),
-    )
+    lhs = kernels.dirichlet_sum(pp.logn[ram], coeff.astype(np.complex128), complex(s))
     rhs = complex(
         sum(-cmath.log(1 - sign * p ** (-complex(s))) for p in _prime_divisors(pr.chr.modulus))
     )
     return lhs, rhs, abs(lhs - rhs)
-
-
-def m_series_at_one(scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
-    """M_x(1); for kind Cprime compare -log log x^eps - C0 + log(pi^2/6)."""
-    return aux_series(1.0 + 0j, scheme, tbl)

@@ -4,13 +4,13 @@ Characters are built from the dual group of (Z/qZ)* via CRT: each prime-power
 factor contributes a cyclic component (two for 2^e, e >= 3), and a character
 is a tuple of exponents against the component generators.  Values are stored
 as exact rational angles (fractions of a turn), so multiplicativity and
-orthogonality hold exactly; conversion to complex happens only at evaluation.
+orthogonality hold exactly; the complex value table is derived from them once
+per character.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +35,16 @@ class Character:
     parity: int  # chi(-1), +1 or -1
     conductor: int
     order: int = field(default=1)
+    # chi(0..q-1) as complex128, built once; coeff_array() returns it
+    _coeff: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        out = np.zeros(self.modulus, dtype=np.complex128)
+        for n, a in enumerate(self.angles):
+            if a is not None:
+                out[n] = cmath.exp(2j * cmath.pi * float(a))
+        out.flags.writeable = False
+        object.__setattr__(self, "_coeff", out)
 
     def angle(self, n: int) -> Fraction | None:
         """Exact angle of chi(n) in turns, or None if chi(n) = 0."""
@@ -47,10 +57,6 @@ class Character:
     def is_principal(self) -> bool:
         return self.label == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
-
     def conjugate(self) -> "Character":
         """The conjugate character chi-bar: every exponent negated."""
         _, orders, _ = _group_data(self.modulus)
@@ -59,12 +65,8 @@ class Character:
         return enumerate_characters(self.modulus)[conj]
 
     def coeff_array(self) -> np.ndarray:
-        """chi(0..q-1) as complex128, for vectorized residue lookup."""
-        out = np.zeros(self.modulus, dtype=np.complex128)
-        for n, a in enumerate(self.angles):
-            if a is not None:
-                out[n] = cmath.exp(2j * cmath.pi * float(a))
-        return out
+        """chi(0..q-1) as read-only complex128, for vectorized residue lookup."""
+        return self._coeff
 
 
 def _component_generators(p: int, e: int) -> list[tuple[int, int]]:
@@ -249,7 +251,3 @@ def character_to_json(chr: Character) -> dict:
         "parity": chr.parity,
         "values": values,
     }
-
-
-def character_json_dumps(chr: Character) -> str:
-    return json.dumps(character_to_json(chr))

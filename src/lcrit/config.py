@@ -7,19 +7,13 @@ embedded into every JSON report for reproducibility.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .lfengine import EvalConfig
 
-DEFAULTS = {
-    "euler_maclaurin_cutoff": 50,
-    "bernoulli_terms": 16,
-    "branch_anchor_sigma": 6.0,
-    "sieve_limit": 10**6,
-}
-
-_INT_KEYS = {"euler_maclaurin_cutoff", "bernoulli_terms", "sieve_limit"}
-_FLOAT_KEYS = {"branch_anchor_sigma"}
+# each value's type is the type its key parses to
+DEFAULTS = {**asdict(EvalConfig()), "sieve_limit": 10**6}
 
 DEFAULT_PATH = "lcrit.cfg"
 ENV_VAR = "LCRIT_CONFIG"
@@ -36,12 +30,7 @@ def parse_config_text(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _INT_KEYS:
-            out[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(val)
-        else:
-            out[key] = val
+        out[key] = type(DEFAULTS[key])(val)
     return out
 
 
@@ -61,8 +50,4 @@ def load_config(path: str | None = None) -> dict:
 
 
 def eval_config(cfg: dict) -> EvalConfig:
-    return EvalConfig(
-        euler_maclaurin_cutoff=cfg["euler_maclaurin_cutoff"],
-        bernoulli_terms=cfg["bernoulli_terms"],
-        branch_anchor_sigma=cfg["branch_anchor_sigma"],
-    )
+    return EvalConfig(**{f.name: cfg[f.name] for f in fields(EvalConfig)})

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 from sympy import Rational
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -103,14 +102,6 @@ class TauCertificate:
         )
 
 
-def kronecker_defect(tau, p: int, target: Fraction, dps: int = 50) -> float:
-    """||tau log p / 2 pi - target|| at the given working precision."""
-    with mp.workdps(dps):
-        v = mp.mpf(tau) * mp.log(p) / (2 * mp.pi) - mp.mpf(target.numerator) / target.denominator
-        frac = v - mp.floor(v)
-        return float(min(frac, 1 - frac))
-
-
 def targets_from_scheme(scheme, tbl) -> AngleTargets:
     """Angle targets U_p = arg(conj of weight at p)/2pi for all p <= x.
 
@@ -154,6 +145,8 @@ def _verify(tau_str: str, k: int, tg: AngleTargets, interval) -> TauCertificate:
 
 
 def kronecker_defect_str(tau_str: str, p: int, target: Fraction, dps: int) -> float:
+    """||tau log p / 2 pi - target|| for tau given as a decimal string, at
+    dps digits of working precision."""
     with mp.workdps(dps):
         v = mp.mpf(tau_str) * mp.log(p) / (2 * mp.pi)
         v -= mp.mpf(target.numerator) / target.denominator

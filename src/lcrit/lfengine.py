@@ -8,7 +8,7 @@ rather than a cancellation of two large terms.
 
 On top of that sit a branch-tracked log L (continuous in sigma from a
 far-right anchor where the Euler product makes the principal branch
-unambiguous) and the truncated prime-sum approximations to log L and L'/L.
+unambiguous) and the truncated prime-sum approximation to log L.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import mpmath as mp
 from sympy import bernoulli
 
 from . import kernels
+from . import primesums as ps
 from .characters import Character
 
 
@@ -229,11 +230,6 @@ def dirichlet_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG,
     return _l_orders(s, chr, cfg, deriv)[deriv]
 
 
-def dirichlet_l_prime(s: complex, chr: Character,
-                      cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    return dirichlet_l(s, chr, cfg, deriv=1)
-
-
 def l_log_derivative(s: complex, chr: Character,
                      cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
     """L'/L(s, chi), non-principal chi; raises on a zero of L."""
@@ -296,8 +292,6 @@ def log_l_truncated(s: complex, chr: Character, T: float, tbl) -> complex:
     _check_char(chr)
     if T < 4:
         raise ValueError("need T >= 4 so that log^2 T >= 2")
-    from . import primesums as ps
-
     x = math.log(T) ** 2
     w = ps.weights_for_character(chr, tbl.primes_upto(x))
     return ps.lambda_weighted_sum(s, x, w, tbl, over_log=True)
@@ -311,32 +305,8 @@ def log_l_defect(s: complex, chr: Character, T: float, tbl,
     return abs(exact - approx)
 
 
-def l_log_derivative_truncated(s: complex, chr: Character, x: float, tbl) -> complex:
-    """-sum_{n<=x} chi(n) Lambda(n) / n^s, the truncated -L'/L... negated:
-
-    returns the approximation to L'/L(s), i.e. -sum chi(n) Lambda(n) n^{-s}.
-    """
-    _check_char(chr)
-    from . import primesums as ps
-
-    w = ps.weights_for_character(chr, tbl.primes_upto(x))
-    return -ps.lambda_weighted_sum(s, x, w, tbl, over_log=False)
-
-
-def l_log_derivative_defect(s: complex, chr: Character, x: float, tbl,
-                            cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    exact = l_log_derivative(s, chr, cfg).value
-    approx = l_log_derivative_truncated(s, chr, x, tbl)
-    return abs(exact - approx)
-
-
 # ---------------------------------------------------------------------------
 # High-precision cross-checks (mpmath)
-
-
-def zeta_mp(s, dps: int = 30):
-    with mp.workdps(dps):
-        return mp.zeta(mp.mpc(s))
 
 
 def dirichlet_l_mp(s, chr: Character, dps: int = 30):

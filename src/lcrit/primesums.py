@@ -1,14 +1,13 @@
 """Prime/von Mangoldt infrastructure and the finite prime sums.
 
-Everything here is a finite sum over primes or prime powers: the Mertens
-sums, the Euler-product identities for totally multiplicative weights
-|a(p)| <= 1, the Perron weight w(u), and the tails T_x, Q_x, Q'_x.
-Prime-power terms (k >= 2) are always summed exactly, never estimated.
+Everything here is a finite sum over primes or prime powers: the sieve and
+its prime-power view, a Mertens sum, and the Lambda-weighted Dirichlet sums
+for totally multiplicative weights |a(p)| <= 1 with their Euler-product
+identity.  Prime-power terms (k >= 2) are always summed exactly, never estimated.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -18,7 +17,6 @@ from . import kernels
 from .characters import Character
 
 SIEVE_LIMIT_GUARD = 10**9
-_CACHE_MAGIC = b"LCRITPT1"
 
 
 @dataclass
@@ -108,73 +106,13 @@ def _build_prime_powers(tbl: PrimeTable, x: float) -> PrimePowers:
 
 
 # ---------------------------------------------------------------------------
-# Sieve cache file (little-endian u64 prime list with versioned header)
-
-
-def save_table(tbl: PrimeTable, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<QQ", tbl.limit, len(tbl.primes)))
-        fh.write(tbl.primes.astype("<u8").tobytes())
-
-
-def load_table(path: str) -> PrimeTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError("not a lcrit prime-table cache file")
-        limit, count = struct.unpack("<QQ", fh.read(16))
-        primes = np.frombuffer(fh.read(8 * count), dtype="<u8").astype(np.int64)
-    return PrimeTable(limit=int(limit), primes=primes, log_primes=np.log(primes))
-
-
-# ---------------------------------------------------------------------------
-# Mertens-type sums and the prime-power tail
-
-
-def theta(x: float, tbl: PrimeTable) -> float:
-    """Chebyshev theta: sum of log p over p <= x."""
-    return float(np.sum(np.log(tbl.primes_upto(x).astype(np.float64))))
+# Mertens-type sums
 
 
 def mertens_logp_over_p(y: float, tbl: PrimeTable) -> float:
     """Sum of log p / p over p <= y (compare log y + r)."""
     p = tbl.primes_upto(y).astype(np.float64)
     return float(np.sum(np.log(p) / p))
-
-
-def mertens_logp_residual(y: float, tbl: PrimeTable) -> float:
-    """mertens_logp_over_p(y) - log y, for constant-r studies."""
-    return mertens_logp_over_p(y, tbl) - float(np.log(y))
-
-
-def mertens_log2p_over_p(y: float, tbl: PrimeTable) -> float:
-    """Sum of log^2 p / p over p <= y (compare (1/2) log^2 y)."""
-    p = tbl.primes_upto(y).astype(np.float64)
-    return float(np.sum(np.log(p) ** 2 / p))
-
-
-def mertens_log2p_residual(y: float, tbl: PrimeTable) -> float:
-    """(sum - (1/2) log^2 y) / log y, bounded by a constant."""
-    return (mertens_log2p_over_p(y, tbl) - 0.5 * np.log(y) ** 2) / np.log(y)
-
-
-def prime_power_tail(y1: float, y2: float, a: float, tbl: PrimeTable) -> float:
-    """Sum of log p / p^a over primes in [y1, y2], a > 1."""
-    if not (1 < y1 < y2 <= tbl.limit):
-        raise ValueError("need 1 < y1 < y2 <= table limit")
-    if a <= 1:
-        raise ValueError("need a > 1")
-    p = tbl.primes
-    lo = int(np.searchsorted(p, int(np.ceil(y1)), side="left"))
-    hi = int(np.searchsorted(p, int(np.floor(y2)), side="right"))
-    sel = p[lo:hi].astype(np.float64)
-    return float(np.sum(np.log(sel) / sel**a))
-
-
-def prime_power_tail_ratio(y1: float, y2: float, a: float, tbl: PrimeTable) -> float:
-    """prime_power_tail normalized by its predicted order y1^(1-a)."""
-    return prime_power_tail(y1, y2, a, tbl) / y1 ** (1.0 - a)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +157,7 @@ def power_weighted_sum(
         coeff = power_weights / pp.k  # Lambda(n)/log n = 1/k
     else:
         coeff = power_weights * pp.logp
-    return kernels.dirichlet_sum(np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s))
+    return kernels.dirichlet_sum(pp.logn, coeff, complex(s))
 
 
 def lambda_weighted_sum(
@@ -258,147 +196,3 @@ def lambda_chi_over_log(
     z = w * np.exp(-complex(s) * np.log(p))
     rhs = complex(-np.sum(np.log1p(-z)))
     return lhs, rhs, abs(lhs - rhs)
-
-
-def euler_log_form(s: complex, x: float, prime_weights: np.ndarray, tbl: PrimeTable) -> complex:
-    """sum_{p<=x} log(1 - a(p)/p^s)^{-1} alone."""
-    return lambda_chi_over_log(s, x, prime_weights, tbl)[1]
-
-
-def lambda_chi_linear(
-    s: complex, x: float, prime_weights: np.ndarray, tbl: PrimeTable
-) -> tuple[complex, complex, float]:
-    """Both sides of the linear identity:
-
-    sum_{n<=x} Lambda(n) a(n) / n^s  vs  sum_{p<=x} a(p) log p / (p^s - a(p)),
-
-    returning (lhs, rhs, |defect|).
-    """
-    if s.real < 1:
-        raise ValueError("need Re s >= 1")
-    if x < 2:
-        raise ValueError("need x >= 2")
-    lhs = lambda_weighted_sum(s, x, prime_weights, tbl, over_log=False)
-    p = tbl.primes_upto(x).astype(np.float64)
-    w = np.asarray(prime_weights[: len(p)], dtype=np.complex128)
-    ps = np.exp(complex(s) * np.log(p))
-    rhs = complex(np.sum(w * np.log(p) / (ps - w)))
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def rational_prime_form_unimodular(
-    s: complex, x: float, prime_weights: np.ndarray, tbl: PrimeTable
-) -> complex:
-    """sum_{p<=x} log p / (conj(a(p)) p^s - 1), valid when |a(p)| = 1."""
-    p = tbl.primes_upto(x).astype(np.float64)
-    w = np.asarray(prime_weights[: len(p)], dtype=np.complex128)
-    if np.any(np.abs(np.abs(w) - 1) > 1e-12):
-        raise ValueError("unimodular form needs |a(p)| = 1")
-    ps = np.exp(complex(s) * np.log(p))
-    return complex(np.sum(np.log(p) / (np.conj(w) * ps - 1)))
-
-
-# ---------------------------------------------------------------------------
-# Perron weight
-
-
-@dataclass(frozen=True)
-class PerronWeight:
-    """w(u) = 1 on [1,x], linear log-taper to 0 on (x, xy], 0 beyond."""
-
-    x: float
-    y: float = 2.0
-
-    def __post_init__(self):
-        if self.x < 2 or self.y < 2:
-            raise ValueError("need x >= 2 and y >= 2")
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        w = 1.0 - np.log(u / self.x) / np.log(self.y)
-        return np.clip(w, 0.0, 1.0)
-
-
-def perron_weighted_sum(
-    s: complex, chr: Character, pw: PerronWeight, tbl: PrimeTable
-) -> tuple[complex, complex, float]:
-    """(weighted sum over n <= xy, unweighted sum over n <= x, |defect|)."""
-    if s.real < 1:
-        raise ValueError("need Re s >= 1")
-    pp = tbl.prime_powers(pw.x * pw.y)
-    chi = weights_for_character(chr, pp.n)
-    wvals = pw(pp.n.astype(np.float64))
-    coeff = chi * pp.logp * wvals
-    weighted = kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn), np.ascontiguousarray(coeff), complex(s)
-    )
-    mask = pp.n <= pw.x
-    unweighted = kernels.dirichlet_sum(
-        np.ascontiguousarray(pp.logn[mask]),
-        np.ascontiguousarray((chi * pp.logp)[mask]),
-        complex(s),
-    )
-    return weighted, unweighted, abs(weighted - unweighted)
-
-
-# ---------------------------------------------------------------------------
-# Tails T_x, Q_x, Q'_x (absolutely convergent for Re s > 1)
-
-
-class TailEstimate(NamedTuple):
-    value: complex
-    tail_bound: float  # bound on the discarded part beyond the cutoff
-
-
-def _tail_bound_q(cutoff: float, sigma: float) -> float:
-    # sum_{n > cutoff} n^-sigma <= cutoff^(1-sigma)/(sigma-1)
-    return cutoff ** (1.0 - sigma) / (sigma - 1.0)
-
-
-def _tail_bound_qprime(cutoff: float, sigma: float) -> float:
-    # sum_{n > cutoff} log n * n^-sigma via integral
-    lc = np.log(cutoff)
-    return cutoff ** (1.0 - sigma) * (lc / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2)
-
-
-def _tail_primes(x: float, cutoff: float, tbl: PrimeTable) -> np.ndarray:
-    if cutoff > tbl.limit:
-        raise ValueError("cutoff exceeds table limit")
-    p = tbl.primes
-    lo = int(np.searchsorted(p, int(np.floor(x)), side="right"))
-    hi = int(np.searchsorted(p, int(np.floor(cutoff)), side="right"))
-    return p[lo:hi].astype(np.float64)
-
-
-def tail_T(s: complex, x: float, chr: Character, cutoff: float, tbl: PrimeTable) -> TailEstimate:
-    """T_x(s) = sum_{p > x} chi(p)/p^s, truncated at the cutoff."""
-    if s.real <= 1:
-        raise ValueError("T_x requires Re s > 1")
-    sel = _tail_primes(x, cutoff, tbl)
-    if len(sel) == 0:
-        return TailEstimate(0j, _tail_bound_q(max(cutoff, x), s.real))
-    chi = weights_for_character(chr, sel.astype(np.int64))
-    val = complex(np.sum(chi * np.exp(-complex(s) * np.log(sel))))
-    return TailEstimate(val, _tail_bound_q(cutoff, s.real))
-
-
-def tail_Q(s: complex, x: float, cutoff: float, tbl: PrimeTable) -> TailEstimate:
-    """Q_x(s) = sum_{p > x} 1/p^s, truncated at the cutoff."""
-    if s.real <= 1:
-        raise ValueError("Q_x requires Re s > 1")
-    sel = _tail_primes(x, cutoff, tbl)
-    if len(sel) == 0:
-        return TailEstimate(0j, _tail_bound_q(max(cutoff, x), s.real))
-    val = complex(np.sum(np.exp(-complex(s) * np.log(sel))))
-    return TailEstimate(val, _tail_bound_q(cutoff, s.real))
-
-
-def tail_Q_prime(s: complex, x: float, cutoff: float, tbl: PrimeTable) -> TailEstimate:
-    """Q'_x(s) = -sum_{p > x} log p / p^s (term-by-term derivative)."""
-    if s.real <= 1:
-        raise ValueError("Q'_x requires Re s > 1")
-    sel = _tail_primes(x, cutoff, tbl)
-    if len(sel) == 0:
-        return TailEstimate(0j, _tail_bound_qprime(max(cutoff, x), s.real))
-    val = complex(-np.sum(np.log(sel) * np.exp(-complex(s) * np.log(sel))))
-    return TailEstimate(val, _tail_bound_qprime(cutoff, s.real))

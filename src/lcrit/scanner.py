@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import operator
 from dataclasses import dataclass, field, asdict
@@ -30,8 +29,6 @@ from . import lfengine
 from . import primesums as ps
 from .characters import (
     Character,
-    enumerate_characters,
-    euler_phi,
     primitive_characters,
     ramified_product,
     unit_density,
@@ -213,18 +210,6 @@ def check_thm3_inequality(s: complex, chr: Character, x: float,
         lhs=lhs, rhs=rhs, allowance=allowance, slack=slack,
         violation=slack < -allowance,
     )
-
-
-def sub_identity_psquared(x: float, tbl: ps.PrimeTable) -> tuple[float, float]:
-    """(-sum_{p<=x} log(1-1/p^2), log(pi^2/6)): agree to O(1/x)."""
-    p = tbl.primes_upto(x).astype(np.float64)
-    return -float(np.sum(np.log1p(-1.0 / p**2))), math.log(math.pi**2 / 6.0)
-
-
-def sub_identity_mertens(x: float, tbl: ps.PrimeTable) -> tuple[float, float]:
-    """(sum_{p<=x} log(1-1/p), -log log x - C0): agree to O(1/log x)."""
-    p = tbl.primes_upto(x).astype(np.float64)
-    return float(np.sum(np.log1p(-1.0 / p))), -math.log(math.log(x)) - euler_constant()
 
 
 def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 1e6,

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit.characters import (
-    Character,
-    character_json_dumps,
     character_to_json,
     chi_value,
     enumerate_characters,
@@ -121,12 +119,22 @@ def test_unit_density_and_ramified_product():
 
 def test_json_table_roundtrip():
     chr = enumerate_characters(5)[1]
-    d = json.loads(character_json_dumps(chr))
+    d = json.loads(json.dumps(character_to_json(chr)))
     assert d == character_to_json(chr)
     for n, num, den in d["values"]:
         expect = chi_value(chr, n)
         got = cmath.exp(2j * cmath.pi * num / den) if den else 0.0
         assert abs(got - expect) < 1e-12
+
+
+@pytest.mark.parametrize("q", [8, 15])
+def test_coeff_array_built_once_and_read_only(q):
+    for chr in enumerate_characters(q):
+        arr = chr.coeff_array()
+        assert arr is chr.coeff_array()
+        assert not arr.flags.writeable
+        for n in range(q):
+            assert arr[n] == pytest.approx(chi_value(chr, n), abs=1e-15)
 
 
 def test_small_moduli_rejected():

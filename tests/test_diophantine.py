@@ -19,9 +19,9 @@ def test_angle_targets_validation():
 def test_kronecker_defect_basic():
     # tau = 2 pi / log 2 puts tau log 2 / 2 pi exactly at 1, i.e. defect 0
     tau = 2 * math.pi / math.log(2)
-    assert dio.kronecker_defect(tau, 2, Fraction(0)) < 1e-12
+    assert dio.kronecker_defect_str(repr(tau), 2, Fraction(0), 50) < 1e-12
     # and against target 1/2 the defect is exactly 1/2
-    assert dio.kronecker_defect(tau, 2, Fraction(1, 2)) == pytest.approx(0.5)
+    assert dio.kronecker_defect_str(repr(tau), 2, Fraction(1, 2), 50) == pytest.approx(0.5)
 
 
 def test_zero_targets_shortcut():

@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -96,7 +98,7 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
     ones = np.ones(len(tbl.prime_powers(1e4).n), dtype=np.complex128)
     callers = [
         ("dirichlet_sum", lambda: ps.power_weighted_sum(2.0 + 0j, 1e4, ones, tbl)),
-        ("dirichlet_sum", lambda: aux.v_series(2.0 + 0j, 1e4, tbl)),
+        ("dirichlet_sum", lambda: aux.v_series_shifted(2.0 + 0j, 0, 1e4, tbl)),
         ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
         ("hurwitz_main_sum", lambda: lfengine.zeta_derivatives(2.0 + 1j)),
@@ -105,3 +107,16 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         before = counts[kernel]
         call()
         assert counts[kernel] > before
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    # the benchmark's tracer wraps lcrit attributes by name; a target that
+    # is renamed or deleted would leave its per-layer metrics reading 0
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)
+        assert tr.missing == []
+    finally:
+        tr.uninstall()

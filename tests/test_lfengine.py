@@ -127,7 +127,7 @@ def test_dirichlet_l_prime_vs_finite_difference():
     s = 1.2 + 2.0j
     h = 1e-5
     fd = (lf.dirichlet_l(s + h, chr).value - lf.dirichlet_l(s - h, chr).value) / (2 * h)
-    assert abs(lf.dirichlet_l_prime(s, chr).value - fd) < 1e-8
+    assert abs(lf.dirichlet_l(s, chr, deriv=1).value - fd) < 1e-8
 
 
 def test_principal_characters_rejected():
@@ -171,7 +171,7 @@ def test_truncated_log_l_defect_decays(tbl):
 def test_log_derivative_consistency():
     chr = enumerate_characters(5)[1]
     s = 1.4 + 3.0j
-    ratio = lf.dirichlet_l_prime(s, chr).value / lf.dirichlet_l(s, chr).value
+    ratio = lf.dirichlet_l(s, chr, deriv=1).value / lf.dirichlet_l(s, chr).value
     assert abs(lf.l_log_derivative(s, chr).value - ratio) < 1e-10
 
 

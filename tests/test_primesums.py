@@ -20,21 +20,6 @@ def test_sieve_limit_guard():
         ps.sieve(2 * 10**9)
 
 
-def test_save_load_roundtrip(tbl_small, tmp_path):
-    path = tmp_path / "primes.bin"
-    ps.save_table(tbl_small, str(path))
-    back = ps.load_table(str(path))
-    assert back.limit == tbl_small.limit
-    assert np.array_equal(back.primes, tbl_small.primes)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a prime table")
-    with pytest.raises(ValueError):
-        ps.load_table(str(path))
-
-
 def test_prime_powers_reproduce_mangoldt(tbl_small):
     pp = tbl_small.prime_powers(500)
     got = {int(n): float(lp) for n, lp in zip(pp.n, pp.logp)}
@@ -56,26 +41,6 @@ def test_mangoldt_divisor_identity(tbl_small):
         assert total == pytest.approx(math.log(n), abs=1e-10)
 
 
-def test_theta_near_x(tbl):
-    for x in (10**3, 10**4, 10**5, 10**6):
-        assert 0.8 < ps.theta(x, tbl) / x < 1.2
-
-
-def test_mertens_residuals_bounded(tbl):
-    # log p / p partial sums stay within O(1) of log y
-    for y in (10**2, 10**3, 10**4, 10**5, 10**6):
-        assert abs(ps.mertens_logp_residual(y, tbl)) < 2.5
-        assert abs(ps.mertens_log2p_residual(y, tbl)) < 6.0
-
-
-def test_prime_power_tail_bounded_by_prediction(tbl):
-    # sum log p/p^a over [y1, y2] is O(y1^{1-a} log y1); ratio stays moderate
-    for a in (1.5, 2.0, 3.0):
-        r = ps.prime_power_tail_ratio(10**3, 10**5, a, tbl)
-        assert 0 <= r < 2 * math.log(10**3)
-    assert ps.prime_power_tail(10**3, 10**5, 3.0, tbl) < 1e-4
-
-
 @given(sr=st.floats(1.0, 3.0), si=st.floats(-20.0, 20.0),
        x=st.sampled_from([100.0, 1000.0, 5000.0]))
 @settings(max_examples=25, deadline=None)
@@ -90,57 +55,7 @@ def test_log_identity_defect_small(sr, si, x):
     assert defect < 3.0 / math.sqrt(x)
 
 
-def test_linear_identity_exact_for_ones(tbl_small):
-    w = np.ones(len(tbl_small.primes))
-    lhs, rhs, defect = ps.lambda_chi_linear(3.0 + 0j, 5000.0, w, tbl_small)
-    # rhs is the full geometric resummation; truncation error ~ x^{1-s}
-    assert defect < 1e-4
-    assert lhs.imag == pytest.approx(0.0, abs=1e-12)
-
-
-def test_unimodular_form_agrees_with_linear(tbl_small):
-    # for |a(p)| = 1, a(p) log p/(p^s - a(p)) = log p/(conj(a(p)) p^s - 1)
-    s = 2.0 + 5.0j
-    w = np.ones(len(tbl_small.primes), dtype=np.complex128)
-    _, rhs, _ = ps.lambda_chi_linear(s, 2000.0, w, tbl_small)
-    alt = ps.rational_prime_form_unimodular(s, 2000.0, w, tbl_small)
-    assert abs(rhs - alt) < 1e-12
-    wq = np.exp(2j * np.pi * (tbl_small.primes % 7) / 7.0)
-    _, rhs_q, _ = ps.lambda_chi_linear(s, 2000.0, wq, tbl_small)
-    alt_q = ps.rational_prime_form_unimodular(s, 2000.0, wq, tbl_small)
-    assert abs(rhs_q - alt_q) < 1e-12
-
-
 def test_weight_magnitude_guard(tbl_small):
     w = np.full(len(tbl_small.primes), 1.5)
     with pytest.raises(ValueError):
         ps.lambda_weighted_sum(2.0 + 0j, 100.0, w, tbl_small)
-
-
-def test_perron_weight_shape():
-    pw = ps.PerronWeight(100.0, 2.0)
-    u = np.array([1.0, 50.0, 100.0, 141.0, 200.0, 400.0])
-    w = pw(u)
-    assert np.all(w[:3] == 1.0)
-    assert 0 < w[3] < 1
-    assert w[4] == 0.0 and w[5] == 0.0
-
-
-def test_perron_weighted_sum_close_to_sharp(tbl):
-    chr = enumerate_characters(5)[1]
-    pw = ps.PerronWeight(10**4, 2.0)
-    weighted, unweighted, defect = ps.perron_weighted_sum(1.0 + 3.0j, chr, pw, tbl)
-    # smoothing changes the sum by at most the taper mass ~ theta-increment / x
-    assert defect < 2.0
-
-
-def test_tail_estimates_dominate_truth(tbl):
-    chr = enumerate_characters(5)[1]
-    s = 1.5 + 2.0j
-    w = chr.coeff_array()[tbl.primes % 5]
-    for fn, args in ((ps.tail_T, (s, 50.0, chr, 10**5, tbl)),
-                     (ps.tail_Q, (s, 50.0, 10**5, tbl)),
-                     (ps.tail_Q_prime, (s, 50.0, 10**5, tbl))):
-        est = fn(*args)
-        assert est.tail_bound >= 0
-        assert np.isfinite(abs(est.value))

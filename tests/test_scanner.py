@@ -30,13 +30,6 @@ def test_theorem_bound_relations(q):
     )
 
 
-def test_sub_identities(tbl):
-    lhs, rhs = sc.sub_identity_psquared(1e5, tbl)
-    assert lhs == pytest.approx(rhs, abs=1e-3)
-    lhs2, rhs2 = sc.sub_identity_mertens(1e5, tbl)
-    assert lhs2 == pytest.approx(rhs2, abs=0.1)
-
-
 def test_majorant_dominates_minorant(tbl):
     for x in (1e3, 1e4, 1e5):
         for q in (3, 5, 8):

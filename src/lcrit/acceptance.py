@@ -205,9 +205,8 @@ def criterion_5() -> CriterionResult:
             for x in xs:
                 scheme = aux.make_scheme(kind, chi, x, tbl, delta=0.75)
                 pts = aux.inner_circle_points(scheme.params, 256)
-                form = aux.wx_linear_form if kind == "B" else aux.zx_linear_form
                 lin = max(
-                    abs(aux.aux_series(s, scheme, tbl) - form(s, scheme.params))
+                    abs(aux.aux_series(s, scheme, tbl) - aux.linear_form(s, scheme))
                     for s in pts
                 )
                 lin_vals.append(lin * math.log(x))

@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from . import lfengine
 from . import primesums as ps
-from .characters import Character
+from .characters import Character, prime_divisors
 
 SCHEME_KINDS = ("B", "C", "Bprime", "Cprime")
 
@@ -159,7 +159,7 @@ def s1_constant(chr: Character, tbl: ps.PrimeTable,
     chibar = chr.conjugate()
     ll = lfengine.l_log_derivative(1.0 + 0j, chibar, cfg).value
     q = chr.modulus
-    ram = sum(math.log(p) / (p - 1) for p in _prime_divisors(q))
+    ram = sum(math.log(p) / (p - 1) for p in prime_divisors(q))
     return -ll + ram
 
 
@@ -188,7 +188,7 @@ def s2_constant(chr: Character, tbl: ps.PrimeTable,
     w2 = w * w
     series = complex(2 * np.sum(w2 * np.log(p) / (p * p - w2)))
     q = chr.modulus
-    ram = sum(math.log(pq) / (pq + 1) for pq in _prime_divisors(q))
+    ram = sum(math.log(pq) / (pq + 1) for pq in prime_divisors(q))
     return ll + series - ram
 
 
@@ -199,14 +199,8 @@ def s2_constant_series(chr: Character, x: float, tbl: ps.PrimeTable) -> complex:
     w = -ps.weights_for_character(chibar, tbl.primes_upto(x))
     # a(p) = 0 at p | q contributes nothing, matching the convention a_p = -chibar(p)
     val = ps.lambda_weighted_sum(1.0 + 0j, x, w, tbl, over_log=False)
-    ram = sum(math.log(p) / (p + 1) for p in _prime_divisors(chr.modulus))
+    ram = sum(math.log(p) / (p + 1) for p in prime_divisors(chr.modulus))
     return val - ram
-
-
-def _prime_divisors(q: int):
-    from sympy import factorint
-
-    return sorted(factorint(q))
 
 
 def choose_m(s_const: complex, theorem: int) -> float:
@@ -303,37 +297,30 @@ def _check_linear_domain(s: complex, pr: SchemeParams) -> None:
         raise ValueError("linearization requires Re s >= 1")
 
 
-def wx_linear_form(s: complex, pr: SchemeParams) -> complex:
-    """((1-s)/2)(2 delta^2 - 1 - eps^2) log^2 x + S_1 - 2 log m."""
-    _check_linear_domain(s, pr)
-    lx2 = math.log(pr.x) ** 2
-    return (1 - s) / 2 * pr.curvature * lx2 + pr.s_const - 2 * math.log(pr.m)
-
-
-def zx_linear_form(s: complex, pr: SchemeParams) -> complex:
-    """((s-1)/2)(2 delta^2 - 1 - eps^2) log^2 x + S_2 + 2 log m."""
-    _check_linear_domain(s, pr)
-    lx2 = math.log(pr.x) ** 2
-    return (s - 1) / 2 * pr.curvature * lx2 + pr.s_const + 2 * math.log(pr.m)
+def _linear_model(scheme: WeightScheme) -> tuple[complex, float]:
+    """(constant, slope) of the linear model constant + slope (s - 1):
+    S_1 - 2 log m and -curv log^2 x / 2 for W_x (kind B),
+    S_2 + 2 log m and +curv log^2 x / 2 for Z_x (kind Bprime)."""
+    pr = scheme.params
+    slope = pr.curvature * math.log(pr.x) ** 2 / 2
+    if scheme.kind == "B":
+        return pr.s_const - 2 * math.log(pr.m), -slope
+    if scheme.kind == "Bprime":
+        return pr.s_const + 2 * math.log(pr.m), slope
+    raise ValueError("the linear model applies to kinds B and Bprime only")
 
 
 def linear_form(s: complex, scheme: WeightScheme) -> complex:
-    if scheme.kind == "B":
-        return wx_linear_form(s, scheme.params)
-    if scheme.kind == "Bprime":
-        return zx_linear_form(s, scheme.params)
-    raise ValueError("linear form applies to kinds B and Bprime only")
+    """The linear model of W_x (kind B) or Z_x (kind Bprime) near s = 1."""
+    _check_linear_domain(s, scheme.params)
+    constant, slope = _linear_model(scheme)
+    return constant + slope * (s - 1)
 
 
 def closed_form_root(scheme: WeightScheme) -> complex:
     """Exact root of the linear model of W_x (kind B) or Z_x (kind Bprime)."""
-    pr = scheme.params
-    lx2 = math.log(pr.x) ** 2
-    if scheme.kind == "B":
-        return 1 + 2 * (pr.s_const - 2 * math.log(pr.m)) / (pr.curvature * lx2)
-    if scheme.kind == "Bprime":
-        return 1 + 2 * (pr.s_const + 2 * math.log(pr.m)) / (-pr.curvature * lx2)
-    raise ValueError("closed-form root applies to kinds B and Bprime only")
+    constant, slope = _linear_model(scheme)
+    return 1 - constant / slope
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +350,7 @@ def finite_x_constant(scheme: WeightScheme, tbl: ps.PrimeTable) -> FiniteXConsta
     prime-distribution fluctuations (range 1 cut off at n <= x, the Mertens
     error on (b_{j-1}, b_j]), not a smooth term in 1/log x.
     """
-    model = linear_form(1.0 + 0j, scheme)
+    model = _linear_model(scheme)[0]
     pr = scheme.params
     pp = tbl.prime_powers(pr.x)
     terms = scheme.power_weights(tbl) * pp.logp / pp.n.astype(np.float64)
@@ -380,14 +367,9 @@ def finite_x_constant(scheme: WeightScheme, tbl: ps.PrimeTable) -> FiniteXConsta
 
 def finite_x_root(scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
     """closed_form_root with the model constant replaced by the finite-x
-    constant: the root of W_x(1) + slope (s - 1), slope = -curv log^2 x / 2
-    (Z_x(1) + slope (s - 1), slope = +curv log^2 x / 2 for kind Bprime)."""
+    constant: the root of W_x(1) + slope (s - 1) (Z_x(1) for kind Bprime)."""
     total = finite_x_constant(scheme, tbl).total
-    pr = scheme.params
-    slope = pr.curvature * math.log(pr.x) ** 2 / 2
-    if scheme.kind == "B":
-        slope = -slope
-    return 1 - total / slope
+    return 1 - total / _linear_model(scheme)[1]
 
 
 def aux_series_derivative(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
@@ -506,6 +488,6 @@ def m_series_ramified_check(scheme: WeightScheme, tbl: ps.PrimeTable,
     coeff = (sign ** pp.k[ram].astype(np.float64)) / pp.k[ram]
     lhs = kernels.dirichlet_sum(pp.logn[ram], coeff.astype(np.complex128), complex(s))
     rhs = complex(
-        sum(-cmath.log(1 - sign * p ** (-complex(s))) for p in _prime_divisors(pr.chr.modulus))
+        sum(-cmath.log(1 - sign * p ** (-complex(s))) for p in prime_divisors(pr.chr.modulus))
     )
     return lhs, rhs, abs(lhs - rhs)

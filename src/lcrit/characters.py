@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint, primitive_root
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,44 @@ class Character:
         return self._coeff
 
 
-def _component_generators(p: int, e: int) -> list[tuple[int, int]]:
-    """Generators and orders of the cyclic components of (Z/p^e Z)*."""
-    pe = p**e
+def prime_divisors(q: int) -> list[int]:
+    """The distinct primes dividing q >= 1, increasing (trial division)."""
+    out, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            out.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    return out + [q] if q > 1 else out
+
+
+def _component_generators(p: int, pe: int) -> list[tuple[int, int]]:
+    """Generators and orders of the cyclic components of (Z/p^e Z)*, pe = p^e;
+    for odd p, the least g prime to p with g^(phi/r) != 1 for each prime r | phi."""
     if p == 2:
-        if e == 1:
+        if pe == 2:
             return []
-        if e == 2:
+        if pe == 4:
             return [(3, 2)]
         return [(pe - 1, 2), (5, pe // 4)]  # {-1} x <5>
-    g = primitive_root(pe)
-    return [(int(g), pe - pe // p)]
+    phi = pe - pe // p
+    g = next(g for g in range(2, pe) if g % p
+             and all(pow(g, phi // r, pe) != 1 for r in prime_divisors(phi)))
+    return [(g, phi)]
 
 
 @lru_cache(maxsize=None)
 def _group_data(q: int):
     """CRT component generators, orders, and residue -> exponent-tuple map."""
-    factors = sorted(factorint(q).items())
     gens: list[int] = []  # generators lifted to mod q
     orders: list[int] = []
-    for p, e in factors:
-        pe = p**e
+    for p in prime_divisors(q):
+        pe = math.gcd(q, p ** q.bit_length())  # the p-part of q
         cof = q // pe
         # lift g mod pe to a residue mod q that is 1 mod q/pe
         inv = pow(cof, -1, pe)
-        for g, ordg in _component_generators(p, e):
+        for g, ordg in _component_generators(p, pe):
             lifted = (1 + cof * ((g - 1) * inv % pe)) % q
             gens.append(lifted)
             orders.append(ordg)
@@ -215,14 +227,14 @@ def unit_density(q: int) -> float:
     if q < 1:
         raise ValueError("q must be positive")
     frac = Fraction(1)
-    for p in factorint(q):
+    for p in prime_divisors(q):
         frac *= Fraction(p - 1, p)
     return float(frac)
 
 
 def euler_phi(q: int) -> int:
     num = q
-    for p in factorint(q):
+    for p in prime_divisors(q):
         num = num // p * (p - 1)
     return num
 
@@ -232,7 +244,7 @@ def ramified_product(q: int) -> float:
     if q < 1:
         raise ValueError("q must be positive")
     frac = Fraction(1)
-    for p in factorint(q):
+    for p in prime_divisors(q):
         frac *= Fraction(p + 1, p)
     return float(frac)
 

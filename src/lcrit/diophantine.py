@@ -8,7 +8,8 @@ distance to the nearest integer.  Kronecker's theorem guarantees existence
 Strategy: write tau = 2 pi (k + U_2)/log 2 with integer k, which nails the
 p = 2 constraint exactly, then reduce the remaining constraints
 ||k gamma_p - V_p|| <= tol (gamma_p = log p/log 2) to a closest-vector
-problem on an integer lattice solved by LLL with a Kannan embedding.  The
+problem on an integer lattice solved by LLL with a Kannan embedding (the
+floating-point LLL of Schnorr and Euchner, Math. Programming 66, 1994).  The
 resulting k is astronomically large (hundreds of digits for ~50 primes), so
 tau is carried as an mpmath value plus its exact integer k, and the
 certificate re-verifies every defect at sufficient precision.
@@ -20,11 +21,25 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import mpmath as mp
-from sympy import Rational
-from sympy.polys.domains import ZZ
-from sympy.polys.matrices import DomainMatrix
+
+_DELTA = 0.99  # Lovasz constant
+_MAX_SWAPS = 1_000_000  # a reduction past this many swaps fails instead of running on
+_BIG_COEFF = 2.0**26  # a larger size-reduction coefficient leaves float mu stale
+# size-reduction bound: |mu| up to 1/2 + 1e-9 stays, so an exact tie at 1/2 is
+# kept whichever way the float lands, and n + 1/2 rounds up, as exact LLL does
+_ETA = 0.5 + 1e-9
+
+
+class LatticeSearchError(RuntimeError):
+    """The lattice step of the tau search failed: no candidate tau, or the
+    reduction passed its swap cap."""
+
+    def __init__(self, reason: str, dim: int, bits: int, attempts: int):
+        super().__init__(f"{reason} (dimension {dim}, {bits}-bit entries, {attempts} attempt(s))")
+        self.reason, self.dim, self.bits, self.attempts = reason, dim, bits, attempts
 
 
 @dataclass(frozen=True)
@@ -168,6 +183,8 @@ def find_tau(tg: AngleTargets, interval=None, max_attempts: int = 3) -> TauCerti
     LLL on a Kannan-embedded integer lattice, escalating the scale factor
     up to ``max_attempts`` times.  The returned certificate always carries
     re-verified defects; ``success`` records whether the tolerance was met.
+    LatticeSearchError is raised when no attempt yields a candidate or a
+    reduction passes its swap cap.
     """
     if all(t == 0 for t in tg.targets):
         cert = _verify("0.0", 0, tg, interval)
@@ -222,15 +239,16 @@ def find_tau(tg: AngleTargets, interval=None, max_attempts: int = 3) -> TauCerti
             e[i] = s_int
             rows.append(e + [0, 0])
         rows.append(rt + [0, b_int])
-        M = DomainMatrix([[ZZ(v) for v in row] for row in rows], (N + 2, N + 2), ZZ)
-        red = M.lll(delta=Rational(99, 100)).to_list()
+        try:
+            red = _lll(rows)
+        except LatticeSearchError as err:
+            raise LatticeSearchError(err.reason, err.dim, err.bits, attempt + 1) from None
         for row in red:
-            last = int(row[-1])
-            if abs(last) != b_int:
+            if abs(row[-1]) != b_int:
                 continue
-            if last == b_int:  # negate so the row is (combo) - r_t
-                row = [-int(v) for v in row]
-            kaw = int(row[-2])
+            if row[-1] == b_int:  # negate so the row is (combo) - r_t
+                row = [-v for v in row]
+            kaw = row[-2]
             if kaw % a_w != 0:
                 continue
             k = kaw // a_w
@@ -243,8 +261,61 @@ def find_tau(tg: AngleTargets, interval=None, max_attempts: int = 3) -> TauCerti
             if cert.success:
                 return cert
     if best is None:
-        raise RuntimeError("lattice reduction produced no candidate tau")
+        bits = max(abs(v) for row in rows for v in row).bit_length()
+        raise LatticeSearchError("lattice reduction produced no candidate tau",
+                                 N + 2, bits, max_attempts)
     return best
+
+
+def _lll(rows: list) -> list:
+    """LLL-reduce the integer rows (delta = 0.99), after Schnorr and Euchner.
+
+    The basis stays in exact ints.  Row k's Gram-Schmidt coefficients are
+    recomputed in float64 on every visit, so nothing is carried across a
+    swap; after a size reduction by a coefficient above 2^26 they are
+    recomputed before the Lovasz test.  The float rows are scaled by a power
+    of two so that squared norms stay inside the float range.
+    """
+    b = [list(row) for row in rows]
+    m = len(b)
+    bits = max(abs(v) for row in b for v in row).bit_length()
+    scale = 1 << max(0, bits - 500)
+    bf = [[v / scale for v in row] for row in b]
+    mu = [[0.0] * m for _ in range(m)]
+    c = [0.0] * m  # squared norms of the Gram-Schmidt vectors
+    k = swaps = 0
+    while k < m:
+        muk = mu[k]
+        big = True
+        while big:
+            rk = []  # rk[j] = mu[k][j] * c[j]
+            for j in range(k):
+                rk.append(sum(map(mul, bf[k], bf[j])) - sum(map(mul, mu[j], rk)))
+                muk[j] = rk[j] / c[j]
+            ck = sum(map(mul, bf[k], bf[k])) - sum(map(mul, muk, rk))
+            big = reduced = False
+            for j in range(k - 1, -1, -1):
+                if abs(muk[j]) > _ETA:
+                    r = math.floor(muk[j] + _ETA)
+                    big = big or abs(r) > _BIG_COEFF
+                    reduced = True
+                    b[k] = [u - r * v for u, v in zip(b[k], b[j])]
+                    for i in range(j):
+                        muk[i] -= r * mu[j][i]
+                    muk[j] -= r
+            if reduced:
+                bf[k] = [v / scale for v in b[k]]
+        c[k] = ck
+        if k and ck < (_DELTA - muk[k - 1] ** 2) * c[k - 1]:
+            swaps += 1
+            if swaps > _MAX_SWAPS:
+                raise LatticeSearchError(f"reduction passed {_MAX_SWAPS} swaps", m, bits, 0)
+            b[k - 1], b[k] = b[k], b[k - 1]
+            bf[k - 1], bf[k] = bf[k], bf[k - 1]
+            k -= 1
+        else:
+            k += 1
+    return b
 
 
 def save_certificate(cert: TauCertificate, path: str) -> None:

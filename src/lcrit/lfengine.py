@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from sympy import bernoulli
 
 from . import kernels
 from . import primesums as ps
@@ -54,7 +53,7 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
-_BK = [float(bernoulli(2 * k)) / math.factorial(2 * k) for k in range(64)]  # B_2k/(2k)!
+_BK = [float(mp.bernoulli(2 * k)) / math.factorial(2 * k) for k in range(64)]  # B_2k/(2k)!
 
 
 def _cutoff(t: float, cfg: EvalConfig) -> int:

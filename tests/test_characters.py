@@ -4,14 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit.characters import (
+    _component_generators,
     character_to_json,
     chi_value,
     enumerate_characters,
     euler_phi,
+    prime_divisors,
     primitive_characters,
     ramified_product,
     unit_density,
@@ -142,3 +145,14 @@ def test_small_moduli_rejected():
         enumerate_characters(2)
     with pytest.raises(ValueError):
         enumerate_characters(1)
+
+
+def test_factoring_and_generators_match_sympy():
+    for q in range(1, 2001):
+        primes = prime_divisors(q)
+        assert primes == sorted(sympy.factorint(q))
+        for p in primes:
+            if p == 2:
+                continue
+            pe = p ** sympy.multiplicity(p, q)
+            assert _component_generators(p, pe) == [(sympy.primitive_root(pe), pe - pe // p)]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,10 @@ def test_cli_scan(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5
+
+
+def test_import_leaves_sympy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lcrit, lcrit.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -94,3 +95,120 @@ def test_targets_from_scheme_tolerance(tbl):
     # targets are the negated weight angles mod 1
     for p, t in list(zip(tg.primes, tg.targets))[:20]:
         assert t == (-scheme.prime_weight_angle(p)) % 1
+
+
+def test_find_tau_certifies_q4_bprime(tbl):
+    # the real character mod 4 puts exact |mu| = 1/2 ties in this lattice
+    scheme = aux.make_scheme("Bprime", enumerate_characters(4)[1], 70.0, tbl)
+    tg0 = dio.targets_from_scheme(scheme, tbl)
+    cert = dio.find_tau(dio.AngleTargets(tg0.primes, tg0.targets, 0.02))
+    assert cert.success
+    assert dio.revalidate(cert)
+
+
+def _small_targets():
+    primes = (2, 3, 5, 7, 11)
+    targets = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), Fraction(2, 3))
+    return dio.AngleTargets(primes, targets, 0.02)
+
+
+def test_find_tau_without_candidate_raises_typed_error(monkeypatch):
+    # the unreduced basis has no row carrying both the target and a k != 0
+    monkeypatch.setattr(dio, "_lll", lambda rows: rows)
+    with pytest.raises(dio.LatticeSearchError) as info:
+        dio.find_tau(_small_targets(), max_attempts=2)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.dim, err.attempts) == (6, 2)
+    assert err.bits > 0
+
+
+def test_reduction_past_swap_cap_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(dio, "_MAX_SWAPS", 3)
+    with pytest.raises(dio.LatticeSearchError) as info:
+        dio.find_tau(_small_targets())
+    err = info.value
+    assert (err.dim, err.attempts) == (6, 1)
+    assert "swaps" in err.reason
+
+
+# ---------------------------------------------------------------------------
+# _lll against an exact oracle
+
+
+def _exact_gram_schmidt(rows):
+    """mu and squared Gram-Schmidt norms in exact rationals."""
+    star, c = [], []
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, star[j])) / c[j]
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+        c.append(sum(a * a for a in v))
+    return mu, c
+
+
+def _transform_and_det(basis, reduced):
+    """T with T basis = reduced, and det T, by exact Gauss-Jordan on basis^T."""
+    n = len(basis)
+    # solve basis^T T^T = reduced^T column block by column block
+    aug = [[Fraction(basis[j][i]) for j in range(n)] + [Fraction(reduced[j][i]) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    t = [[aug[j][n + i] for j in range(n)] for i in range(n)]  # row i of T
+    det, m = Fraction(1), [row[:] for row in t]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return t, Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return t, det
+
+
+def _random_lattice(rng, n):
+    bits = rng.randint(8, 150)
+    return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+
+
+def _kannan_lattice(rng, n):
+    """find_tau's shape: n - 2 scaled reals, a unit column and a target row."""
+    s = 1 << rng.randint(40, 148)
+    reals = [rng.randrange(s) for _ in range(n - 2)]
+    target = [rng.randrange(s) for _ in range(n - 2)]
+    rows = [reals + [1000, 0]]
+    for i in range(n - 2):
+        rows.append([s if j == i else 0 for j in range(n - 2)] + [0, 0])
+    rows.append(target + [0, s >> rng.randint(3, 12)])
+    return rows
+
+
+@pytest.mark.parametrize("shape, n", [(_random_lattice, n) for n in range(2, 13)]
+                         + [(_kannan_lattice, n) for n in range(3, 13)])
+def test_lll_against_exact_oracle(shape, n):
+    rng = random.Random(1000 * n + (shape is _kannan_lattice))
+    basis = shape(rng, n)
+    reduced = dio._lll(basis)
+    # the same lattice: an integral change of basis with determinant +-1
+    t, det = _transform_and_det(basis, reduced)
+    assert all(v.denominator == 1 for row in t for v in row)
+    assert abs(det) == 1
+    mu, c = _exact_gram_schmidt(reduced)
+    assert all(abs(mu[i][j]) <= 0.5 + 1e-9 for i in range(n) for j in range(i))
+    delta = Fraction(99, 100)
+    assert all(c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1] for k in range(1, n))

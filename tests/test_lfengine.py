@@ -4,11 +4,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from lcrit import lfengine as lf
 from lcrit.characters import enumerate_characters
+
+
+def test_bernoulli_table_matches_sympy():
+    expect = [float(sympy.bernoulli(2 * k)) / math.factorial(2 * k) for k in range(64)]
+    assert lf._BK == expect
 
 
 def test_zeta_two_exact():

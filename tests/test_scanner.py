@@ -117,3 +117,9 @@ def test_chain_report_roundtrips_to_json(theorem, q, tbl):
     assert d["theorem"] == theorem
     assert d["passed"] in (True, False)
     assert isinstance(d["s_const"], list) and len(d["s_const"]) == 2
+
+
+def test_thm2_chain_mod3_loose_tolerance(tbl):
+    # this tau search once crashed inside the lattice reduction
+    rep = sc.check_thm2_chain(enumerate_characters(3)[1], x=50.0, tbl=tbl, tolerance=0.05)
+    assert rep.passed

@@ -8,7 +8,7 @@ comparison scans.
 """
 
 from .characters import Character, enumerate_characters, primitive_characters
-from .lfengine import EvalConfig, dirichlet_l, log_l, zeta, zeta_prime
+from .lfengine import dirichlet_l, log_l, zeta, zeta_prime
 from .primesums import PrimeTable, sieve
 from .scanner import ExtremeBounds, theorem_bounds
 
@@ -20,7 +20,6 @@ BACKEND = "numpy"
 __all__ = [
     "BACKEND",
     "Character",
-    "EvalConfig",
     "ExtremeBounds",
     "PrimeTable",
     "__version__",

@@ -49,11 +49,8 @@ def _certificate(kind: str, q: int, label: int, x: float, tol: float,
                  tbl: ps.PrimeTable) -> dio.TauCertificate:
     key = (kind, q, label, x, tol)
     if key not in _CERT_CACHE:
-        chr = enumerate_characters(q)[label]
-        base = "B" if kind in ("B", "C") else "Bprime"
-        tg0 = dio.targets_from_scheme(aux.make_scheme(base, chr, x, tbl, delta=0.75), tbl)
-        tg = dio.AngleTargets(tg0.primes, tg0.targets, tol)
-        _CERT_CACHE[key] = dio.find_tau(tg)
+        scheme = aux.make_scheme(kind, enumerate_characters(q)[label], x, tbl, delta=0.75)
+        _CERT_CACHE[key] = dio.find_tau(dio.targets_from_scheme(scheme, tbl, tol))
     return _CERT_CACHE[key]
 
 

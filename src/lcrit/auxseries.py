@@ -28,6 +28,9 @@ from . import primesums as ps
 from .characters import Character, prime_divisors
 
 SCHEME_KINDS = ("B", "C", "Bprime", "Cprime")
+S2_CUTOFF = 10**6  # S_2's prime series runs over p <= S2_CUTOFF
+_V_CUTOFF = 1e6  # cutoff of rouche_margin's prime-sum stand-in for -zeta'/zeta
+_NEWTON_STEPS = 50  # newton_root's iteration cap
 
 # weight tables: (p | q entry or None, range1, range2, range3, range4)
 # entries: +1, -1 scalars, or "chi" / "chibar" / "-chi" / "-chibar"
@@ -153,11 +156,10 @@ class WeightScheme:
 # The constants S_1 and S_2
 
 
-def s1_constant(chr: Character, tbl: ps.PrimeTable,
-                cfg: lfengine.EvalConfig = lfengine.DEFAULT_CONFIG) -> complex:
+def s1_constant(chr: Character, tbl: ps.PrimeTable) -> complex:
     """S_1 = -L'/L(1, chibar) + sum_{p|q} log p / (p - 1)."""
     chibar = chr.conjugate()
-    ll = lfengine.l_log_derivative(1.0 + 0j, chibar, cfg).value
+    ll = lfengine.l_log_derivative(1.0 + 0j, chibar).value
     q = chr.modulus
     ram = sum(math.log(p) / (p - 1) for p in prime_divisors(q))
     return -ll + ram
@@ -176,15 +178,15 @@ def s1_constant_series(chr: Character, x: float, tbl: ps.PrimeTable) -> complex:
     return part1 + part2
 
 
-def s2_constant(chr: Character, tbl: ps.PrimeTable,
-                cfg: lfengine.EvalConfig = lfengine.DEFAULT_CONFIG,
-                cutoff: float = 1e6) -> complex:
+def s2_constant(chr: Character, tbl: ps.PrimeTable) -> complex:
     """S_2 = L'/L(1, chibar) + 2 sum_p chibar(p)^2 log p / (p^2 - chibar(p)^2)
-             - sum_{p|q} log p / (p + 1)."""
+             - sum_{p|q} log p / (p + 1), the series over p <= S2_CUTOFF;
+    a table shorter than that raises ValueError."""
     chibar = chr.conjugate()
-    ll = lfengine.l_log_derivative(1.0 + 0j, chibar, cfg).value
-    p = tbl.primes_upto(min(cutoff, tbl.limit)).astype(np.float64)
-    w = chibar.coeff_array()[tbl.primes_upto(min(cutoff, tbl.limit)) % chr.modulus]
+    ll = lfengine.l_log_derivative(1.0 + 0j, chibar).value
+    primes = tbl.primes_upto(S2_CUTOFF)
+    p = primes.astype(np.float64)
+    w = chibar.coeff_array()[primes % chr.modulus]
     w2 = w * w
     series = complex(2 * np.sum(w2 * np.log(p) / (p * p - w2)))
     q = chr.modulus
@@ -215,18 +217,17 @@ def choose_m(s_const: complex, theorem: int) -> float:
 
 
 def make_scheme(kind: str, chr: Character, x: float, tbl: ps.PrimeTable,
-                delta: float = 0.75,
-                cfg: lfengine.EvalConfig = lfengine.DEFAULT_CONFIG) -> WeightScheme:
+                delta: float = 0.75) -> WeightScheme:
     """Build a scheme with S and m computed from the character.
 
     B/C use S_1 with the theorem-2 choice of m; Bprime/Cprime use S_2 with
     the theorem-4 choice.
     """
     if kind in ("B", "C"):
-        s_const = s1_constant(chr, tbl, cfg)
+        s_const = s1_constant(chr, tbl)
         m = choose_m(s_const, 2)
     else:
-        s_const = s2_constant(chr, tbl, cfg)
+        s_const = s2_constant(chr, tbl)
         m = choose_m(s_const, 4)
     params = SchemeParams(x=x, delta=delta, m=m, chr=chr, s_const=s_const)
     return WeightScheme(kind=kind, params=params)
@@ -385,13 +386,13 @@ def aux_series_derivative(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) 
     return kernels.dirichlet_sum(pp.logn, coeff, complex(s))
 
 
-def newton_root(scheme: WeightScheme, tbl: ps.PrimeTable,
-                start: complex | None = None, max_steps: int = 50) -> complex:
-    """Newton refinement of the root of the full W_x / Z_x sum."""
+def newton_root(scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
+    """Newton refinement of the root of the full W_x / Z_x sum, started at
+    the closed-form root."""
     pr = scheme.params
-    s = closed_form_root(scheme) if start is None else complex(start)
+    s = closed_form_root(scheme)
     tol = 1e-3 / math.log(pr.x) ** 3
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         f = aux_series(s, scheme, tbl)
         fp = aux_series_derivative(s, scheme, tbl)
         step = f / fp
@@ -435,22 +436,21 @@ def linear_form_min_on_inner(scheme: WeightScheme, n: int = 256) -> float:
     return min(abs(linear_form(s, scheme)) for s in inner_circle_points(scheme.params, n))
 
 
-def root_in_inner_circle(scheme: WeightScheme, root: complex | None = None) -> bool:
+def root_in_inner_circle(scheme: WeightScheme) -> bool:
     rc = rouche_circles(scheme.params)
-    r = closed_form_root(scheme) if root is None else root
-    return abs(r - rc.center) < rc.inner_radius
+    return abs(closed_form_root(scheme) - rc.center) < rc.inner_radius
 
 
 def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
-                  cutoff: float = 1e6, n: int = 32,
-                  cfg: lfengine.EvalConfig = lfengine.DEFAULT_CONFIG) -> float:
+                  n: int = 32) -> float:
     """min |aux_series| minus max |(-zeta'/zeta)(s+i tau) - aux_series(s)|
     over boundary samples of the inner circle; positive certifies a zero of
     zeta' inside the shifted circle (numerically, not rigorously).
 
     For tau beyond ~1e6 the exact -zeta'/zeta is replaced by the truncated
-    prime sum V_cutoff(s + i tau); on the toy circles Re s > 1.4, so the
-    discarded tail is below cutoff^(1-sigma) log cutoff / (sigma - 1).
+    prime sum V_cutoff(s + i tau) with cutoff 1e6; on the toy circles
+    Re s > 1.4, so the discarded tail is below cutoff^(1-sigma) log cutoff /
+    (sigma - 1).
     """
     pts = inner_circle_points(scheme.params, n)
     ws = [aux_series(s, scheme, tbl) for s in pts]
@@ -460,11 +460,10 @@ def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
     for s, w in zip(pts, ws):
         if use_exact:
             st = s + 1j * float(tau)
-            z = lfengine.zeta(st, cfg).value
-            zp = lfengine.zeta_prime(st, cfg).value
-            neg_logd = -zp / z
+            z, zp = lfengine._zeta_orders(st, 1)
+            neg_logd = -zp.value / z.value
         else:
-            neg_logd = v_series_shifted(s, tau, cutoff, tbl)
+            neg_logd = v_series_shifted(s, tau, _V_CUTOFF, tbl)
         max_d = max(max_d, abs(neg_logd - w))
     return min_w - max_d
 

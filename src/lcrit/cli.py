@@ -11,23 +11,29 @@ import numpy as np
 
 from . import acceptance
 from . import auxseries as aux
-from . import config as cfgmod
 from . import critzeros as cz
 from . import diophantine as dio
+from . import lfengine as lf
 from . import primesums as ps
 from . import scanner as sc
 from .characters import character_to_json, enumerate_characters
 
 
-def _with_config(payload: dict, cfg: dict) -> dict:
-    payload["config"] = cfg
-    return payload
+SIEVE_LIMIT = 10**6  # the prime table of tau (at least x + 1), thm2 and thm4
+
+# the fixed parameters every JSON report carries
+CONFIG = {
+    "euler_maclaurin_cutoff": lf.EULER_MACLAURIN_CUTOFF,
+    "bernoulli_terms": lf.BERNOULLI_TERMS,
+    "branch_anchor_sigma": lf.BRANCH_ANCHOR_SIGMA,
+    "sieve_limit": SIEVE_LIMIT,
+}
 
 
-def cmd_chars(args, cfg):
+def cmd_chars(args):
     chars = enumerate_characters(args.q)
     tables = [character_to_json(c) for c in chars]
-    out = _with_config({"q": args.q, "characters": tables}, cfg)
+    out = {"q": args.q, "characters": tables, "config": CONFIG}
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(out, fh, indent=1)
@@ -40,7 +46,7 @@ def cmd_chars(args, cfg):
     return 0
 
 
-def cmd_bounds(args, cfg):
+def cmd_bounds(args):
     b = sc.theorem_bounds(args.q)
     print(f"q = {b.q}")
     print(f"C0      = {b.euler_constant:.15f}")
@@ -51,10 +57,10 @@ def cmd_bounds(args, cfg):
     return 0
 
 
-def cmd_zeros(args, cfg):
+def cmd_zeros(args):
     s1, s2, t1, t2 = (float(v) for v in args.rect.split(","))
     rect = cz.SearchRect(s1, s2, t1, t2, grid_resolution=args.res)
-    pts = cz.find_critical_points(rect, cfgmod.eval_config(cfg))
+    pts = cz.find_critical_points(rect)
     if args.csv:
         cz.write_csv(pts, args.csv)
     print(f"count: {pts.expected_count}; refined: {len(pts)}; complete: {pts.complete}")
@@ -63,12 +69,12 @@ def cmd_zeros(args, cfg):
     return 0 if pts.complete else 1
 
 
-def cmd_scan(args, cfg):
+def cmd_scan(args):
     chr = enumerate_characters(args.q)[args.chi]
     t1, t2, n = args.grid.split(":")
     ts = np.exp(np.linspace(math.log(float(t1)), math.log(float(t2)), int(n)))
     points = [complex(args.sigma, float(t)) for t in ts]
-    rep = sc.scan(points, chr, cfgmod.eval_config(cfg))
+    rep = sc.scan(points, chr)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(rep.to_csv())
@@ -80,21 +86,18 @@ def cmd_scan(args, cfg):
     return 0
 
 
-def cmd_tau(args, cfg):
-    tbl = ps.sieve(max(cfg["sieve_limit"], int(args.x) + 1))
+def cmd_tau(args):
+    tbl = ps.sieve(max(SIEVE_LIMIT, int(args.x) + 1))
     chr = enumerate_characters(args.q)[args.chi]
-    scheme = aux.make_scheme("B", chr, args.x, tbl, delta=args.delta,
-                             cfg=cfgmod.eval_config(cfg))
-    tg0 = dio.targets_from_scheme(scheme, tbl)
-    tol = args.tol if args.tol else tg0.tolerance
-    tg = dio.AngleTargets(tg0.primes, tg0.targets, tol)
+    scheme = aux.make_scheme("B", chr, args.x, tbl, delta=args.delta)
+    tg = dio.targets_from_scheme(scheme, tbl, args.tol or None)
     interval = None
     if args.interval:
         interval = tuple(float(v) for v in args.interval.split(","))
     cert = dio.find_tau(tg, interval=interval)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(_with_config(cert.to_json(), cfg), fh, indent=1)
+            json.dump({**cert.to_json(), "config": CONFIG}, fh, indent=1)
     print(
         f"success: {cert.success}; max defect {cert.max_defect:.6f} "
         f"(tolerance {cert.tolerance}); k has {len(str(abs(cert.k)))} digits"
@@ -102,15 +105,14 @@ def cmd_tau(args, cfg):
     return 0 if cert.success else 1
 
 
-def _chain(args, cfg, which):
-    tbl = ps.sieve(cfg["sieve_limit"])
+def _chain(args, which):
+    tbl = ps.sieve(SIEVE_LIMIT)
     chr = enumerate_characters(args.q)[args.chi]
     fn = sc.check_thm2_chain if which == 2 else sc.check_thm4_chain
-    rep = fn(chr, x=args.x, delta=args.delta, tbl=tbl,
-             cfg=cfgmod.eval_config(cfg))
+    rep = fn(chr, x=args.x, delta=args.delta, tbl=tbl)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(_with_config(rep.to_json(), cfg), fh, indent=1)
+            json.dump({**rep.to_json(), "config": CONFIG}, fh, indent=1)
     rel = ">=" if which == 2 else "<="
     print(
         f"theorem {which} chain: |L(1+i tau)| = {rep.abs_l:.4f} "
@@ -120,7 +122,7 @@ def _chain(args, cfg, which):
     return 0 if rep.passed else 1
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     results = acceptance.run_all()
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
@@ -133,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extreme values of Dirichlet L-functions at zeros of zeta': "
         "characters, bounds, zero finding, scans, and constructive tau shifts.",
     )
-    ap.add_argument("--config", help="path to key = value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chars", help="enumerate Dirichlet characters mod q")
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x", type=float, default=200.0)
         p.add_argument("--delta", type=float, default=0.75)
         p.add_argument("--json", help="write the pipeline report to JSON")
-        p.set_defaults(fn=lambda a, c, w=which: _chain(a, c, w))
+        p.set_defaults(fn=lambda a, w=which: _chain(a, w))
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
     p.set_defaults(fn=cmd_verify)
@@ -185,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = cfgmod.load_config(args.config)
-    return args.fn(args, cfg)
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 
 from . import lfengine
-from .lfengine import DEFAULT_CONFIG, EvalConfig
+
+_NEWTON_STEPS = 40  # _newton's iteration cap
+_RESIDUAL_DPS = 35  # working digits of the mpmath residual that certifies a zero
 
 
 class BoundaryZeroSuspected(RuntimeError):
@@ -103,11 +105,11 @@ def _shrink(rect: SearchRect) -> SearchRect:
     )
 
 
-def _zp(s: complex, cfg: EvalConfig) -> complex:
-    return lfengine.zeta_prime(s, cfg).value
+def _zp(s: complex) -> complex:
+    return lfengine.zeta_prime(s).value
 
 
-def _arg_increment(s1, s2, f1, f2, cfg, depth=0) -> float:
+def _arg_increment(s1, s2, f1, f2, depth=0) -> float:
     """Continuous-arg increment of zeta' from s1 to s2, refined < pi/2."""
     d = cmath.phase(f2 / f1)
     if abs(d) < math.pi / 2:
@@ -115,15 +117,15 @@ def _arg_increment(s1, s2, f1, f2, cfg, depth=0) -> float:
     if depth >= 42:
         raise BoundaryZeroSuspected(f"argument jump near {s1}..{s2}")
     sm = (s1 + s2) / 2
-    fm = _zp(sm, cfg)
+    fm = _zp(sm)
     if abs(fm) < 1e-13:
         raise BoundaryZeroSuspected(f"|zeta'| ~ 0 at boundary point {sm}")
-    return _arg_increment(s1, sm, f1, fm, cfg, depth + 1) + _arg_increment(
-        sm, s2, fm, f2, cfg, depth + 1
+    return _arg_increment(s1, sm, f1, fm, depth + 1) + _arg_increment(
+        sm, s2, fm, f2, depth + 1
     )
 
 
-def _winding(rect: SearchRect, cfg: EvalConfig) -> int:
+def _winding(rect: SearchRect) -> int:
     corners = rect.corners()
     corners.append(corners[0])
     total = 0.0
@@ -131,15 +133,15 @@ def _winding(rect: SearchRect, cfg: EvalConfig) -> int:
         length = abs(b - a)
         n = max(2, int(math.ceil(length / rect.grid_resolution)))
         pts = [a + (b - a) * i / n for i in range(n + 1)]
-        vals = [_zp(s, cfg) for s in pts]
+        vals = [_zp(s) for s in pts]
         for (s1, s2, f1, f2) in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
             if abs(f1) < 1e-13 or abs(f2) < 1e-13:
                 raise BoundaryZeroSuspected(f"|zeta'| ~ 0 near {s1}")
-            total += _arg_increment(s1, s2, f1, f2, cfg)
+            total += _arg_increment(s1, s2, f1, f2)
     return round(total / (2 * math.pi))
 
 
-def count_zeros(rect: SearchRect, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
+def count_zeros(rect: SearchRect) -> int:
     """Number of zeros of zeta' in the rectangle by the argument principle.
 
     The double pole at s = 1 contributes -2 to the boundary winding; when the
@@ -153,7 +155,7 @@ def count_zeros(rect: SearchRect, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
             r = _shrink(r)
             continue
         try:
-            w = _winding(r, cfg)
+            w = _winding(r)
             return w + (2 if _pole_inside(r) else 0)
         except BoundaryZeroSuspected:
             r = _shrink(r)
@@ -162,15 +164,15 @@ def count_zeros(rect: SearchRect, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
     )
 
 
-def _newton(s: complex, cfg: EvalConfig, max_steps: int = 40) -> complex | None:
+def _newton(s: complex) -> complex | None:
     # Outside -0.9 < sigma, |t| < 1e4 the evaluator is off its sweet spot.
     # Right of sigma = 10, zeta'(s) = -log 2 * 2^-s * (1 + O((2/3)^sigma)), so
     # each step adds about 1/log 2 to sigma and an iterate there never returns.
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
             return None
         try:
-            fp, fpp = lfengine.zeta_derivatives(s, cfg)
+            fp, fpp = lfengine.zeta_derivatives(s)
         except (lfengine.ZetaPoleError, ZeroDivisionError):
             return None
         if fpp == 0:
@@ -185,22 +187,21 @@ def _newton(s: complex, cfg: EvalConfig, max_steps: int = 40) -> complex | None:
 SAME_ZERO = 1e-9  # converged Newton copies of one zero agree to ~1e-14
 
 
-def _residual_mp(s: complex, dps: int = 35) -> float:
-    with mp.workdps(dps):
+def _residual_mp(s: complex) -> float:
+    with mp.workdps(_RESIDUAL_DPS):
         return float(abs(mp.zeta(mp.mpc(s), derivative=1)))
 
 
-def find_critical_points(rect: SearchRect,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> CriticalPointList:
+def find_critical_points(rect: SearchRect) -> CriticalPointList:
     """Newton-refined zeros of zeta' in the rectangle.
 
     Grid seeds at the rect resolution; each distinct converged zero is
-    certified by an independent mpmath residual at ~35 digits.  Newton stops
+    certified by an independent mpmath residual at 35 digits.  Newton stops
     at |step| < 1e-13, so a point within SAME_ZERO of a certified zero is a
     copy of it and is skipped.  If the number of distinct zeros does not
     match count_zeros the list is returned with ``complete = False``.
     """
-    n_expected = count_zeros(rect, cfg)
+    n_expected = count_zeros(rect)
     res = rect.grid_resolution
     found: list[CriticalPoint] = []
     n_sig = max(2, int(math.ceil((rect.sigma_max - rect.sigma_min) / res)))
@@ -212,7 +213,7 @@ def find_critical_points(rect: SearchRect,
             seed = complex(sig, t)
             if abs(seed - 1) < 1e-3:
                 continue  # pole-excluded disk
-            z = _newton(seed, cfg)
+            z = _newton(seed)
             if z is None or not rect.contains(z):
                 continue
             if abs(z - 1) < 1e-3:

@@ -76,7 +76,6 @@ class TauCertificate:
     search_interval: tuple  # (lo, hi) as floats of log10|tau|, or None
     success: bool
     in_interval: bool
-    seed: int = 0
 
     @property
     def tau(self) -> mp.mpf:
@@ -96,7 +95,6 @@ class TauCertificate:
             "search_interval": list(self.search_interval) if self.search_interval else None,
             "success": self.success,
             "in_interval": self.in_interval,
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -113,20 +111,21 @@ class TauCertificate:
             search_interval=tuple(d["search_interval"]) if d["search_interval"] else None,
             success=d["success"],
             in_interval=d["in_interval"],
-            seed=d.get("seed", 0),
         )
 
 
-def targets_from_scheme(scheme, tbl) -> AngleTargets:
+def targets_from_scheme(scheme, tbl, tolerance: float | None = None) -> AngleTargets:
     """Angle targets U_p = arg(conj of weight at p)/2pi for all p <= x.
 
-    Tolerance is 1/log^2 x, the resolution the linearization argument needs.
+    The tolerance defaults to 1/log^2 x, the resolution the linearization
+    argument needs.
     """
     pr = scheme.params
     primes = tuple(int(p) for p in tbl.primes_upto(pr.x))
     targets = tuple((-scheme.prime_weight_angle(p)) % 1 for p in primes)
-    tol = 1.0 / math.log(pr.x) ** 2
-    return AngleTargets(primes=primes, targets=targets, tolerance=tol)
+    if tolerance is None:
+        tolerance = 1.0 / math.log(pr.x) ** 2
+    return AngleTargets(primes=primes, targets=targets, tolerance=tolerance)
 
 
 def _verify(tau_str: str, k: int, tg: AngleTargets, interval) -> TauCertificate:

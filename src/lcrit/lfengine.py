@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
@@ -36,32 +35,21 @@ class ComplexEval(NamedTuple):
     error_radius: float
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    euler_maclaurin_cutoff: int = 50
-    bernoulli_terms: int = 16
-    branch_anchor_sigma: float = 6.0
-
-    def __post_init__(self):
-        if self.euler_maclaurin_cutoff < 10:
-            raise ValueError("euler_maclaurin_cutoff must be >= 10")
-        if self.bernoulli_terms < 2:
-            raise ValueError("bernoulli_terms must be >= 2")
-        if self.branch_anchor_sigma < 3:
-            raise ValueError("branch_anchor_sigma must be >= 3")
-
-
-DEFAULT_CONFIG = EvalConfig()
+# The one Euler-Maclaurin scheme: N = max(EULER_MACLAURIN_CUTOFF, |t|/3 + 20)
+# main terms and M = BERNOULLI_TERMS Bernoulli corrections; log L is anchored
+# at sigma = BRANCH_ANCHOR_SIGMA.
+EULER_MACLAURIN_CUTOFF = 50
+BERNOULLI_TERMS = 16
+BRANCH_ANCHOR_SIGMA = 6.0
 
 _BK = [float(mp.bernoulli(2 * k)) / math.factorial(2 * k) for k in range(64)]  # B_2k/(2k)!
 
 
-def _cutoff(t: float, cfg: EvalConfig) -> int:
-    return max(cfg.euler_maclaurin_cutoff, int(abs(t) / 3) + 20)
+def _cutoff(t: float) -> int:
+    return max(EULER_MACLAURIN_CUTOFF, int(abs(t) / 3) + 20)
 
 
-def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig,
-                 deriv: int = 0) -> list[ComplexEval]:
+def _hurwitz_reg(s: complex, a: float, deriv: int = 0) -> list[ComplexEval]:
     """R(s, a) = zeta(s, a) - 1/(s-1) and its s-derivatives, orders 0..deriv.
 
     Euler-Maclaurin with N main terms and M Bernoulli corrections:
@@ -77,8 +65,8 @@ def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig,
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1, or 2")
     s = complex(s)
-    N = _cutoff(s.imag, cfg)
-    M = cfg.bernoulli_terms
+    N = _cutoff(s.imag)
+    M = BERNOULLI_TERMS
 
     main = kernels.hurwitz_main_sum(float(a), N, s, deriv)
 
@@ -139,43 +127,42 @@ def _hurwitz_reg(s: complex, a: float, cfg: EvalConfig,
     return out
 
 
-def hurwitz_regularized(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG,
-                        deriv: int = 0) -> ComplexEval:
+def hurwitz_regularized(s: complex, a: float, deriv: int = 0) -> ComplexEval:
     """Public wrapper for R(s, a) = zeta(s, a) - 1/(s-1), deriv in {0, 1, 2}."""
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    return _hurwitz_reg(s, a, cfg, deriv)[deriv]
+    return _hurwitz_reg(s, a, deriv)[deriv]
 
 
 # ---------------------------------------------------------------------------
 # Riemann zeta and derivatives
 
 
-def _zeta_orders(s: complex, cfg: EvalConfig, deriv: int) -> list[ComplexEval]:
+def _zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
     """zeta^(d)(s) for d = 0..deriv: R(s, 1) plus the pole part's derivatives."""
     if abs(s - 1.0) < 1e-12:
         raise ZetaPoleError("zeta and its derivatives have a pole at s = 1")
     sm1 = s - 1.0
     pole = (1.0 / sm1, -1.0 / sm1**2, 2.0 / sm1**3)
     return [ComplexEval(r.value + p, r.error_radius)
-            for r, p in zip(_hurwitz_reg(s, 1.0, cfg, deriv), pole)]
+            for r, p in zip(_hurwitz_reg(s, 1.0, deriv), pole)]
 
 
-def zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    return _zeta_orders(s, cfg, 0)[0]
+def zeta(s: complex) -> ComplexEval:
+    return _zeta_orders(s, 0)[0]
 
 
-def zeta_prime(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    return _zeta_orders(s, cfg, 1)[1]
+def zeta_prime(s: complex) -> ComplexEval:
+    return _zeta_orders(s, 1)[1]
 
 
-def zeta_second(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
-    return _zeta_orders(s, cfg, 2)[2]
+def zeta_second(s: complex) -> ComplexEval:
+    return _zeta_orders(s, 2)[2]
 
 
-def zeta_derivatives(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+def zeta_derivatives(s: complex) -> tuple[complex, complex]:
     """(zeta'(s), zeta''(s)) from one Euler-Maclaurin pass."""
-    _, d1, d2 = _zeta_orders(s, cfg, 2)
+    _, d1, d2 = _zeta_orders(s, 2)
     return d1.value, d2.value
 
 
@@ -188,8 +175,7 @@ def _check_char(chr: Character) -> None:
         raise ValueError("principal characters are not supported here")
 
 
-def _l_orders(s: complex, chr: Character, cfg: EvalConfig,
-              deriv: int) -> list[ComplexEval]:
+def _l_orders(s: complex, chr: Character, deriv: int) -> list[ComplexEval]:
     """L^(d)(s, chi) for d = 0..deriv, one Hurwitz pass per residue.
 
     L = q^{-s} T with T = sum_a chi(a) R(s, a/q); the product rule gives
@@ -204,7 +190,7 @@ def _l_orders(s: complex, chr: Character, cfg: EvalConfig,
         c = coeff[a % q]
         if c == 0:
             continue
-        for d, r in enumerate(_hurwitz_reg(s, a / q, cfg, deriv)):
+        for d, r in enumerate(_hurwitz_reg(s, a / q, deriv)):
             tot[d] += c * r.value
             err[d] += abs(c) * r.error_radius
     lq = math.log(q)
@@ -219,20 +205,18 @@ def _l_orders(s: complex, chr: Character, cfg: EvalConfig,
             for d, (v, e) in enumerate(zip(vals, err))]
 
 
-def dirichlet_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG,
-                deriv: int = 0) -> ComplexEval:
+def dirichlet_l(s: complex, chr: Character, deriv: int = 0) -> ComplexEval:
     """L(s, chi), L'(s, chi), or L''(s, chi) for non-principal chi.
 
     Entire for non-principal chi, so s = 1 is an ordinary point: the Hurwitz
     pole terms cancel exactly since sum_a chi(a) = 0.
     """
-    return _l_orders(s, chr, cfg, deriv)[deriv]
+    return _l_orders(s, chr, deriv)[deriv]
 
 
-def l_log_derivative(s: complex, chr: Character,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
+def l_log_derivative(s: complex, chr: Character) -> ComplexEval:
     """L'/L(s, chi), non-principal chi; raises on a zero of L."""
-    lv, lp = _l_orders(s, chr, cfg, 1)
+    lv, lp = _l_orders(s, chr, 1)
     if abs(lv.value) < 1e-14:
         raise ZetaPoleError("L vanishes at this point; L'/L undefined")
     val = lp.value / lv.value
@@ -244,19 +228,19 @@ def l_log_derivative(s: complex, chr: Character,
 # Branch-tracked log L
 
 
-def log_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexEval:
+def log_l(s: complex, chr: Character) -> ComplexEval:
     """log L(s, chi), continuous along the horizontal path from the anchor.
 
-    Anchored at sigma = branch_anchor_sigma (same t) where |L - 1| < 1/2 and
+    Anchored at sigma = BRANCH_ANCHOR_SIGMA (same t) where |L - 1| < 1/2 and
     the principal branch is unambiguous; the branch is transported left by
     accumulating principal logs of consecutive ratios, with step halving
     whenever a ratio increment looks too large to trust.
     """
     _check_char(chr)
     s = complex(s)
-    sig0 = max(cfg.branch_anchor_sigma, s.real + 0.5)
+    sig0 = max(BRANCH_ANCHOR_SIGMA, s.real + 0.5)
     anchor = complex(sig0, s.imag)
-    la = dirichlet_l(anchor, chr, cfg)
+    la = dirichlet_l(anchor, chr)
     if abs(la.value - 1.0) > 0.5:
         raise RuntimeError("anchor not in the principal-branch region")
     total = cmath.log(la.value)
@@ -267,7 +251,7 @@ def log_l(s: complex, chr: Character, cfg: EvalConfig = DEFAULT_CONFIG) -> Compl
     while cur.real > s.real + 1e-12:
         h = min(step, cur.real - s.real)
         nxt = complex(cur.real - h, s.imag)
-        nv = dirichlet_l(nxt, chr, cfg)
+        nv = dirichlet_l(nxt, chr)
         if abs(nv.value) < 1e-13:
             raise ZetaPoleError("path passes through a zero of L")
         d = cmath.log(nv.value / curval)
@@ -296,10 +280,9 @@ def log_l_truncated(s: complex, chr: Character, T: float, tbl) -> complex:
     return ps.lambda_weighted_sum(s, x, w, tbl, over_log=True)
 
 
-def log_l_defect(s: complex, chr: Character, T: float, tbl,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def log_l_defect(s: complex, chr: Character, T: float, tbl) -> float:
     """|log L(s) - truncated prime sum| with the branch-tracked log."""
-    exact = log_l(s, chr, cfg).value
+    exact = log_l(s, chr).value
     approx = log_l_truncated(s, chr, T, tbl)
     return abs(exact - approx)
 

@@ -40,15 +40,15 @@ from .characters import (
 
 
 @lru_cache(maxsize=1)
-def euler_constant_dual(dps: int = 60) -> tuple:
-    """C0 by two independent routes; returns (value, |difference|).
+def euler_constant_dual() -> tuple:
+    """C0 by two independent routes at 90 digits; returns (value, |difference|).
 
     Route 1: harmonic-minus-log with Euler-Maclaurin correction terms.
     Route 2: the exponential-integral series
         C0 = sum_{k>=1} (-1)^{k+1} n^k/(k k!) - log n - E1(n),  |E1(n)| < e^-n/n,
     at n = 60, where the discarded E1 term is below 1e-27.
     """
-    with mp.workdps(max(dps + 30, 80)):
+    with mp.workdps(90):
         # route 1: C0 = H_N - log N - 1/2N + sum B_2k / (2k N^2k)
         N = 100
         h = mp.fsum(mp.mpf(1) / i for i in range(1, N + 1))
@@ -130,21 +130,22 @@ def thm1_rhs(x: float, q: int) -> float:
     return math.log(math.log(x)) + euler_constant() + math.log(unit_density(q))
 
 
-def fit_thm1_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable,
-                       safety: float = 2.0) -> float:
+_ALLOWANCE_SAFETY = 2.0  # a fitted allowance K is twice the worst defect
+
+
+def fit_thm1_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable) -> float:
     """K from the majorant defect at the two smallest heights, frozen:
-    K = safety * max |A(log^2 t) - rhs| * log log^2 t."""
+    K = 2 max |A(log^2 t) - rhs| * log log^2 t."""
     ks = []
     for t in t_small:
         x = math.log(t) ** 2
         d = coprime_majorant(x, q, tbl) - thm1_rhs(x, q)
         ks.append(abs(d) * math.log(x))
-    return safety * max(ks)
+    return _ALLOWANCE_SAFETY * max(ks)
 
 
 def check_thm1_inequality(s: complex, chr: Character, T: float,
-                          tbl: ps.PrimeTable, allowance_k: float,
-                          cfg=lfengine.DEFAULT_CONFIG) -> DefectReport:
+                          tbl: ps.PrimeTable, allowance_k: float) -> DefectReport:
     """Upper-bound chain: Re(truncated log L at cutoff log^2 T) against
     log log log^2 T + C0 + log(phi(q)/q), with allowance K/log x."""
     if s.real < 1:
@@ -184,14 +185,13 @@ def coprime_minorant(x: float, q: int, tbl: ps.PrimeTable) -> float:
     return base - mism
 
 
-def fit_thm3_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable,
-                       safety: float = 2.0) -> float:
+def fit_thm3_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable) -> float:
     ks = []
     for t in t_small:
         x = math.log(t) ** 2
         d = thm3_rhs(x, q) - coprime_minorant(x, q, tbl)
         ks.append(abs(d) * math.log(x))
-    return safety * max(ks)
+    return _ALLOWANCE_SAFETY * max(ks)
 
 
 def check_thm3_inequality(s: complex, chr: Character, x: float,
@@ -287,12 +287,12 @@ class ChainReport:
 
 def _log_l_at_tau(chr: Character, tau, x_scheme: float, tbl: ps.PrimeTable) -> complex:
     """Truncated log L(1 + i tau, chi) via the prime sum with cutoff
-    max(x, log^2 |tau|) and exact phase reduction."""
+    max(x, log^2 |tau|) and exact phase reduction; a table shorter than the
+    cutoff raises ValueError."""
     with mp.workdps(40):
         at = abs(mp.mpf(tau))
         cut = float(mp.log(at)) ** 2 if at > 3 else x_scheme
-    cutoff = min(max(x_scheme, cut), tbl.limit)
-    return aux.v_series_shifted(1.0 + 0j, tau, cutoff, tbl, over_log=True, chr=chr)
+    return aux.v_series_shifted(1.0 + 0j, tau, max(x_scheme, cut), tbl, over_log=True, chr=chr)
 
 
 class _Chain(NamedTuple):
@@ -320,16 +320,14 @@ _CHAINS = {
 
 def _check_chain(theorem: int, chr: Character, x: float, delta: float,
                  tbl: ps.PrimeTable | None, tolerance: float,
-                 cert: dio.TauCertificate | None, cfg) -> ChainReport:
+                 cert: dio.TauCertificate | None) -> ChainReport:
     spec = _CHAINS[theorem]
     if tbl is None:
         tbl = ps.sieve(10**6)
-    scheme = aux.make_scheme(spec.target_kind, chr, x, tbl, delta=delta, cfg=cfg)
+    scheme = aux.make_scheme(spec.target_kind, chr, x, tbl, delta=delta)
     params = scheme.params
     if cert is None:
-        tg0 = dio.targets_from_scheme(scheme, tbl)
-        tg = dio.AngleTargets(tg0.primes, tg0.targets, tolerance)
-        cert = dio.find_tau(tg)
+        cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, tolerance))
     if not cert.success:
         raise RuntimeError("tau certificate does not meet its tolerance")
     tau = cert.tau
@@ -355,8 +353,7 @@ def _check_chain(theorem: int, chr: Character, x: float, delta: float,
 
 def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
                      tbl: ps.PrimeTable | None = None, tolerance: float = 0.02,
-                     cert: dio.TauCertificate | None = None,
-                     cfg=lfengine.DEFAULT_CONFIG) -> ChainReport:
+                     cert: dio.TauCertificate | None = None) -> ChainReport:
     """Constructive lower-bound pipeline at toy scale.
 
     Scheme B supplies the angle targets; find_tau makes the shift explicit;
@@ -364,16 +361,15 @@ def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
     the truncated prime-sum evaluation.  The floor is
     0.5 * e^C0 (phi(q)/q) * eps log x.
     """
-    return _check_chain(2, chr, x, delta, tbl, tolerance, cert, cfg)
+    return _check_chain(2, chr, x, delta, tbl, tolerance, cert)
 
 
 def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
                      tbl: ps.PrimeTable | None = None, tolerance: float = 0.02,
-                     cert: dio.TauCertificate | None = None,
-                     cfg=lfengine.DEFAULT_CONFIG) -> ChainReport:
+                     cert: dio.TauCertificate | None = None) -> ChainReport:
     """Mirror pipeline: scheme B' targets, scheme C' transfer, upper bound
     |L(1+i tau)| <= 2 * (pi^2 e^-C0/6) prod (p+1)/p / (eps log x)."""
-    return _check_chain(4, chr, x, delta, tbl, tolerance, cert, cfg)
+    return _check_chain(4, chr, x, delta, tbl, tolerance, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +426,7 @@ class ScanReport:
         return buf.getvalue()
 
 
-def scan(points, chr: Character, cfg=lfengine.DEFAULT_CONFIG,
-         source: str = "sigma_grid") -> ScanReport:
+def scan(points, chr: Character, source: str = "sigma_grid") -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
     Points must have t > e (so log log t > 0); an evaluator error is
@@ -447,7 +442,7 @@ def scan(points, chr: Character, cfg=lfengine.DEFAULT_CONFIG,
             raise ValueError("scan points need t > e")
         llt = math.log(math.log(s.imag))
         try:
-            val = abs(lfengine.dirichlet_l(s, chr, cfg).value)
+            val = abs(lfengine.dirichlet_l(s, chr).value)
             rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
                              norm_small=val * llt, q=chr.modulus,
                              char_label=chr.label, source=source)

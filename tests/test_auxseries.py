@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit import auxseries as aux
+from lcrit import kernels
 from lcrit import lfengine
 from lcrit import primesums as ps
 from lcrit.characters import enumerate_characters
@@ -116,6 +117,12 @@ def test_s1_constant_dual_route(chr5, tbl):
     assert abs(direct - series) < 5e-3  # series converges like 1/log at 1e6
 
 
+def test_s2_needs_a_table_to_its_cutoff(chr5):
+    # the S_2 series runs to S2_CUTOFF whatever the table; a short one raises
+    with pytest.raises(ValueError):
+        aux.make_scheme("Bprime", chr5, 1e4, ps.sieve(10**5))
+
+
 def test_s2_constant_dual_route(chr5, tbl):
     direct = aux.s2_constant(chr5, tbl)
     series = aux.s2_constant_series(chr5, float(tbl.limit), tbl)
@@ -211,11 +218,15 @@ def test_rouche_margin_one_aux_series_per_point(scheme_b, tbl, monkeypatch):
     defects = [abs(-lfengine.zeta_prime(s).value / lfengine.zeta(s).value - w)
                for s, w in zip(pts, ws)]
     two_pass = min(abs(w) for w in ws) - max(defects)
-    calls = []
-    real = aux.aux_series
+    calls, passes = [], []
+    real, real_hurwitz = aux.aux_series, kernels.hurwitz_main_sum
     monkeypatch.setattr(aux, "aux_series", lambda *a: calls.append(a) or real(*a))
+    # zeta and zeta' come from one Euler-Maclaurin pass per point
+    monkeypatch.setattr(kernels, "hurwitz_main_sum",
+                        lambda *a: passes.append(a) or real_hurwitz(*a))
     assert aux.rouche_margin(scheme_b, tbl, n=n) == two_pass
     assert len(calls) == n
+    assert len(passes) == n
 
 
 def test_v_series_shift_at_tau_zero(chr5, tbl):

@@ -1,0 +1,77 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lcrit import cli
+from lcrit import lfengine as lf
+
+
+def test_cli_chars_json(tmp_path, capsys):
+    out = tmp_path / "chars.json"
+    rc = cli.main(["chars", "--q", "5", "--json", str(out)])
+    assert rc == 0
+    d = json.loads(out.read_text())
+    assert d["q"] == 5
+    assert len(d["characters"]) == 4
+    assert "config" in d
+    text = capsys.readouterr().out
+    assert "principal" in text
+
+
+def test_cli_bounds(capsys):
+    assert cli.main(["bounds", "--q", "7"]) == 0
+    text = capsys.readouterr().out
+    assert "thm1" in text and "thm4" in text
+
+
+def test_cli_zeros_csv(tmp_path, capsys):
+    out = tmp_path / "zeros.csv"
+    rc = cli.main(["zeros", "--rect", "0.5,4,20,26", "--res", "0.5",
+                   "--csv", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2  # header + the single zero in this window
+
+
+def test_cli_scan(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["scan", "--q", "5", "--chi", "1",
+                   "--grid", "1e3:1e4:4", "--csv", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 5
+
+
+# thm4's S_2 and m pin the S_2 series to p <= 10**6 (a 20000 table moved them)
+@pytest.mark.parametrize("argv,expect", [
+    (["tau", "--q", "5", "--chi", "1", "--x", "50", "--tol", "0.05"],
+     {"success": True, "tolerance": 0.05}),
+    (["thm2", "--q", "7", "--chi", "1", "--x", "70"], {"theorem": 2, "passed": True}),
+    (["thm4", "--q", "8", "--chi", "2", "--x", "70"],
+     {"theorem": 4, "passed": True, "m": pytest.approx(2.8839642653956297, abs=1e-12),
+      "s_const": [pytest.approx(1.0788877716085599, abs=1e-12), pytest.approx(0, abs=1e-12)]}),
+], ids=["tau", "thm2", "thm4"])
+def test_cli_json_report(argv, expect, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--json", str(out)]) == 0
+    d = json.loads(out.read_text())
+    assert {k: d[k] for k in expect} == expect
+    assert "seed" not in d
+    assert d["config"] == {
+        "euler_maclaurin_cutoff": lf.EULER_MACLAURIN_CUTOFF,
+        "bernoulli_terms": lf.BERNOULLI_TERMS,
+        "branch_anchor_sigma": lf.BRANCH_ANCHOR_SIGMA,
+        "sieve_limit": 10**6,
+    }
+    assert ("success: True" if argv[0] == "tau" else ": ok") in capsys.readouterr().out
+
+
+def test_import_leaves_sympy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lcrit, lcrit.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

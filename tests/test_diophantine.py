@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -74,6 +75,9 @@ def test_certificate_roundtrip(tmp_path):
     back = dio.load_certificate(str(path))
     assert back == cert
     assert dio.revalidate(back)
+    # certificates written with the retired "seed" field still load
+    path.write_text(json.dumps({**cert.to_json(), "seed": 0}))
+    assert dio.load_certificate(str(path)) == cert
 
 
 def test_tampered_certificate_fails_revalidation(tmp_path):
@@ -90,6 +94,8 @@ def test_targets_from_scheme_tolerance(tbl):
     scheme = aux.make_scheme("B", chr, 1e4, tbl, delta=0.75)
     tg = dio.targets_from_scheme(scheme, tbl)
     assert tg.tolerance == pytest.approx(1.0 / math.log(1e4) ** 2)
+    loose = dio.targets_from_scheme(scheme, tbl, 0.05)
+    assert loose == dio.AngleTargets(tg.primes, tg.targets, 0.05)
     assert len(tg.primes) == len(tg.targets)
     assert tg.primes[0] == 2
     # targets are the negated weight angles mod 1

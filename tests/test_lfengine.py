@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lcrit import lfengine as lf
@@ -71,6 +71,7 @@ _NEAR_ONE = st.builds(lambda r, th: 1 + cmath.rect(r, th),
     "eps*|s|*log(N+a) per main-sum term and uses |sum| for the sum of |terms|; "
     "see ROADMAP D5"))
 @given(s=st.one_of(_OFF_AXIS, _NEAR_ONE), a=st.floats(1e-3, 1.0), deriv=st.integers(0, 2))
+@example(s=0.5 + 200j, a=0.5, deriv=0)  # 7.5x over the radius, so the xfail never hinges on a draw
 @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.generate))
 def test_hurwitz_regularized_within_error_radius(s, a, deriv):
     assume(abs(s - 1) >= 0.01)  # the mpmath reference subtracts the pole
@@ -191,12 +192,3 @@ def test_conjugation_symmetry(sr, si):
     a = lf.dirichlet_l(s, chr).value
     b = lf.dirichlet_l(s.conjugate(), chrbar).value
     assert abs(b - a.conjugate()) < 1e-10 * (1 + abs(a))
-
-
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        lf.EvalConfig(euler_maclaurin_cutoff=5)
-    with pytest.raises(ValueError):
-        lf.EvalConfig(bernoulli_terms=1)
-    with pytest.raises(ValueError):
-        lf.EvalConfig(branch_anchor_sigma=1.0)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -87,10 +88,10 @@ def test_scan_records_evaluator_errors(monkeypatch):
     chr = enumerate_characters(5)[1]
     real = sc.lfengine.dirichlet_l
 
-    def flaky(s, chr, cfg):
+    def flaky(s, chr):
         if s.imag > 100:
             raise sc.lfengine.ZetaPoleError("L vanishes here")
-        return real(s, chr, cfg)
+        return real(s, chr)
 
     monkeypatch.setattr(sc.lfengine, "dirichlet_l", flaky)
     rep = sc.scan([complex(1.0, 50.0), complex(1.0, 150.0), complex(1.0, 60.0)], chr)
@@ -101,7 +102,7 @@ def test_scan_records_evaluator_errors(monkeypatch):
     assert "ZetaPoleError: L vanishes here" in rep.to_csv()
 
     # anything but an evaluator error is a bug and propagates
-    monkeypatch.setattr(sc.lfengine, "dirichlet_l", lambda s, chr, cfg: None)
+    monkeypatch.setattr(sc.lfengine, "dirichlet_l", lambda s, chr: None)
     with pytest.raises(AttributeError):
         sc.scan([complex(1.0, 50.0)], chr)
 
@@ -117,6 +118,12 @@ def test_chain_report_roundtrips_to_json(theorem, q, tbl):
     assert d["theorem"] == theorem
     assert d["passed"] in (True, False)
     assert isinstance(d["s_const"], list) and len(d["s_const"]) == 2
+
+
+def test_log_l_at_tau_needs_a_table_to_its_cutoff(tbl_small):
+    # log^2(1e60) ~ 19085 > 10**4: the sum may not silently stop at the table's end
+    with pytest.raises(ValueError):
+        sc._log_l_at_tau(enumerate_characters(5)[1], mp.mpf("1e60"), 50.0, tbl_small)
 
 
 def test_thm2_chain_mod3_loose_tolerance(tbl):

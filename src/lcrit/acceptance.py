@@ -75,9 +75,13 @@ def criterion_1() -> CriterionResult:
     return CriterionResult(1, "constant reproduction", p, d, s)
 
 
-def criterion_2(n_points: int = 100, seed: int = 20260825) -> CriterionResult:
+_C2_POINTS = 100  # criterion 2's random evaluation points
+_C2_SEED = 20260825  # pinned: re-seeding would change the contract's sample
+
+
+def criterion_2() -> CriterionResult:
     def run():
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_C2_SEED)
         n_max = 200_000
         n = np.arange(1, n_max + 1)
         logn = np.log(n.astype(np.float64))
@@ -89,7 +93,7 @@ def criterion_2(n_points: int = 100, seed: int = 20260825) -> CriterionResult:
         worst = 0.0
         failures = 0
         checked = 0
-        for _ in range(n_points):
+        for _ in range(_C2_POINTS):
             s = complex(rng.uniform(2.5, 4.0), rng.uniform(0.0, 40.0))
             z = np.exp(-s * logn)
             tail = n_max ** (1.0 - s.real) / (s.real - 1.0)
@@ -105,7 +109,7 @@ def criterion_2(n_points: int = 100, seed: int = 20260825) -> CriterionResult:
         z2 = abs(lfengine.zeta(2.0 + 0j).value - math.pi**2 / 6.0)
         ok = failures == 0 and z2 <= 1e-12
         return ok, (
-            f"{checked} evaluations ({len(chars)} primitive chars, {n_points} points), "
+            f"{checked} evaluations ({len(chars)} primitive chars, {_C2_POINTS} points), "
             f"{failures} outside combined radii (worst ratio {worst:.3f}); "
             f"|zeta(2)-pi^2/6| = {z2:.1e} (<= 1e-12)"
         )
@@ -242,9 +246,8 @@ def criterion_6() -> CriterionResult:
         for kind in ("B", "Bprime"):
             for x in [1e4, 1e5, 1e6, 1e7]:
                 scheme = aux.make_scheme(kind, chi, x, tbl, delta=0.75)
-                rc = aux.rouche_circles(scheme.params)
-                inside = abs(aux.closed_form_root(scheme) - rc.center) < rc.inner_radius
-                mn = aux.linear_form_min_on_inner(scheme, 256)
+                inside = aux.root_in_inner_circle(scheme)
+                mn = aux.linear_form_min_on_inner(scheme)
                 worst_min = min(worst_min, mn)
                 ok = ok and inside and mn >= 0.1
         return ok, f"root inside inner circle everywhere; min |linear form| on boundary {worst_min:.4f} (>= 0.1)"
@@ -338,11 +341,10 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(echo=print) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, printing its line as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
-        r = fn()
-        results.append(r)
-        if echo:
-            echo(r.line())
+        results.append(fn())
+        print(results[-1].line())
     return results

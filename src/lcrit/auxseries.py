@@ -156,7 +156,7 @@ class WeightScheme:
 # The constants S_1 and S_2
 
 
-def s1_constant(chr: Character, tbl: ps.PrimeTable) -> complex:
+def s1_constant(chr: Character) -> complex:
     """S_1 = -L'/L(1, chibar) + sum_{p|q} log p / (p - 1)."""
     chibar = chr.conjugate()
     ll = lfengine.l_log_derivative(1.0 + 0j, chibar).value
@@ -224,7 +224,7 @@ def make_scheme(kind: str, chr: Character, x: float, tbl: ps.PrimeTable,
     the theorem-4 choice.
     """
     if kind in ("B", "C"):
-        s_const = s1_constant(chr, tbl)
+        s_const = s1_constant(chr)
         m = choose_m(s_const, 2)
     else:
         s_const = s2_constant(chr, tbl)
@@ -431,9 +431,9 @@ def inner_circle_points(pr: SchemeParams, n: int = 256) -> np.ndarray:
     return rc.center + rc.inner_radius * np.exp(1j * phi)
 
 
-def linear_form_min_on_inner(scheme: WeightScheme, n: int = 256) -> float:
-    """min |linear form| over the inner circle boundary."""
-    return min(abs(linear_form(s, scheme)) for s in inner_circle_points(scheme.params, n))
+def linear_form_min_on_inner(scheme: WeightScheme) -> float:
+    """min |linear form| over 256 points of the inner circle boundary."""
+    return min(abs(linear_form(s, scheme)) for s in inner_circle_points(scheme.params))
 
 
 def root_in_inner_circle(scheme: WeightScheme) -> bool:
@@ -460,7 +460,7 @@ def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
     for s, w in zip(pts, ws):
         if use_exact:
             st = s + 1j * float(tau)
-            z, zp = lfengine._zeta_orders(st, 1)
+            z, zp = lfengine.zeta_orders(st, 1)
             neg_logd = -zp.value / z.value
         else:
             neg_logd = v_series_shifted(s, tau, _V_CUTOFF, tbl)
@@ -472,9 +472,9 @@ def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
 # M-series identities (the log-weighted companions)
 
 
-def m_series_ramified_check(scheme: WeightScheme, tbl: ps.PrimeTable,
-                            s: complex = 1.0 + 0j) -> tuple[complex, complex, float]:
-    """Ramified part of M_x vs -sum_{p|q} log(1 -+ 1/p): returns
+def m_series_ramified_check(scheme: WeightScheme,
+                            tbl: ps.PrimeTable) -> tuple[complex, complex, float]:
+    """Ramified part of M_x(1) vs -sum_{p|q} log(1 -+ 1/p): returns
     (finite part, closed form, |defect|).  Kind C compares against
     -log(1 - 1/p); Cprime against -log(1 + 1/p)."""
     if scheme.kind not in ("C", "Cprime"):
@@ -485,8 +485,6 @@ def m_series_ramified_check(scheme: WeightScheme, tbl: ps.PrimeTable,
     sign = 1.0 if scheme.kind == "C" else -1.0
     # c(p) = sign at ramified primes (they all sit below x^eps)
     coeff = (sign ** pp.k[ram].astype(np.float64)) / pp.k[ram]
-    lhs = kernels.dirichlet_sum(pp.logn[ram], coeff.astype(np.complex128), complex(s))
-    rhs = complex(
-        sum(-cmath.log(1 - sign * p ** (-complex(s))) for p in prime_divisors(pr.chr.modulus))
-    )
+    lhs = kernels.dirichlet_sum(pp.logn[ram], coeff.astype(np.complex128), 1.0 + 0j)
+    rhs = complex(sum(-math.log(1 - sign / p) for p in prime_divisors(pr.chr.modulus)))
     return lhs, rhs, abs(lhs - rhs)

@@ -38,10 +38,7 @@ class Character:
     _coeff: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        out = np.zeros(self.modulus, dtype=np.complex128)
-        for n, a in enumerate(self.angles):
-            if a is not None:
-                out[n] = cmath.exp(2j * cmath.pi * float(a))
+        out = np.array([chi_value(self, n) for n in range(self.modulus)], dtype=np.complex128)
         out.flags.writeable = False
         object.__setattr__(self, "_coeff", out)
 

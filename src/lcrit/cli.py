@@ -90,11 +90,7 @@ def cmd_tau(args):
     tbl = ps.sieve(max(SIEVE_LIMIT, int(args.x) + 1))
     chr = enumerate_characters(args.q)[args.chi]
     scheme = aux.make_scheme("B", chr, args.x, tbl, delta=args.delta)
-    tg = dio.targets_from_scheme(scheme, tbl, args.tol or None)
-    interval = None
-    if args.interval:
-        interval = tuple(float(v) for v in args.interval.split(","))
-    cert = dio.find_tau(tg, interval=interval)
+    cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, args.tol))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({**cert.to_json(), "config": CONFIG}, fh, indent=1)
@@ -165,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.75)
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--interval", help="log10 magnitude window T1,T2")
+    p.add_argument("--tol", type=float, help="angle tolerance (default 1/log^2 x)")
     p.add_argument("--json", help="write the certificate to this JSON file")
     p.set_defaults(fn=cmd_tau)
 

@@ -44,11 +44,9 @@ class SearchRect:
         if self.grid_resolution <= 0:
             raise ValueError("grid_resolution must be positive")
 
-    def contains(self, s: complex, slack: float = 0.0) -> bool:
-        return (
-            self.sigma_min - slack <= s.real <= self.sigma_max + slack
-            and self.t_min - slack <= s.imag <= self.t_max + slack
-        )
+    def contains(self, s: complex) -> bool:
+        return (self.sigma_min <= s.real <= self.sigma_max
+                and self.t_min <= s.imag <= self.t_max)
 
     def corners(self) -> list[complex]:
         return [
@@ -172,7 +170,7 @@ def _newton(s: complex) -> complex | None:
         if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
             return None
         try:
-            fp, fpp = lfengine.zeta_derivatives(s)
+            _, fp, fpp = (v.value for v in lfengine.zeta_orders(s, 2))
         except (lfengine.ZetaPoleError, ZeroDivisionError):
             return None
         if fpp == 0:

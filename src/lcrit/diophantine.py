@@ -66,16 +66,14 @@ class TauCertificate:
     """A verified tau: defects recomputed at full precision on construction."""
 
     tau_str: str  # decimal string of tau (mpmath, full precision)
-    k: int  # integer in tau = 2 pi (k + U_2)/log 2 (0 when unused)
+    k: int  # nonzero integer in tau = 2 pi (k + U_2)/log 2
     primes: tuple
     targets: tuple  # Fractions
     defects: tuple  # ||tau log p/2pi - U_p|| per prime, floats
     max_defect: float
     weight_defects: tuple  # |p^{-i tau} - e^{-2 pi i U_p}| = 2 sin(pi defect)
     tolerance: float
-    search_interval: tuple  # (lo, hi) as floats of log10|tau|, or None
     success: bool
-    in_interval: bool
 
     @property
     def tau(self) -> mp.mpf:
@@ -92,9 +90,7 @@ class TauCertificate:
             "max_defect": self.max_defect,
             "weight_defects": list(self.weight_defects),
             "tolerance": self.tolerance,
-            "search_interval": list(self.search_interval) if self.search_interval else None,
             "success": self.success,
-            "in_interval": self.in_interval,
         }
 
     @staticmethod
@@ -108,9 +104,7 @@ class TauCertificate:
             max_defect=d["max_defect"],
             weight_defects=tuple(d["weight_defects"]),
             tolerance=d["tolerance"],
-            search_interval=tuple(d["search_interval"]) if d["search_interval"] else None,
             success=d["success"],
-            in_interval=d["in_interval"],
         )
 
 
@@ -128,21 +122,13 @@ def targets_from_scheme(scheme, tbl, tolerance: float | None = None) -> AngleTar
     return AngleTargets(primes=primes, targets=targets, tolerance=tolerance)
 
 
-def _verify(tau_str: str, k: int, tg: AngleTargets, interval) -> TauCertificate:
-    ndig = len(tau_str)
-    dps = ndig + 30
+def _verify(tau_str: str, k: int, tg: AngleTargets) -> TauCertificate:
+    dps = len(tau_str) + 30
     defects = tuple(
         kronecker_defect_str(tau_str, p, t, dps) for p, t in zip(tg.primes, tg.targets)
     )
     md = max(defects)
     wd = tuple(2 * math.sin(math.pi * d) for d in defects)
-    with mp.workdps(dps):
-        tau_v = mp.mpf(tau_str)
-        in_iv = True
-        if interval is not None:
-            lo, hi = interval
-            a = mp.log10(abs(tau_v)) if tau_v != 0 else mp.mpf("-inf")
-            in_iv = bool(lo <= a <= hi)
     return TauCertificate(
         tau_str=tau_str,
         k=k,
@@ -152,9 +138,7 @@ def _verify(tau_str: str, k: int, tg: AngleTargets, interval) -> TauCertificate:
         max_defect=md,
         weight_defects=wd,
         tolerance=tg.tolerance,
-        search_interval=tuple(interval) if interval else None,
         success=md <= tg.tolerance,
-        in_interval=in_iv,
     )
 
 
@@ -174,34 +158,18 @@ def _tau_from_k(k: int, u2: Fraction, dps: int) -> str:
         return mp.nstr(tau, dps - 10, strip_zeros=False)
 
 
-def find_tau(tg: AngleTargets, interval=None, max_attempts: int = 3) -> TauCertificate:
+def find_tau(tg: AngleTargets, max_attempts: int = 3) -> TauCertificate:
     """Search for tau meeting every target within tolerance.
 
-    Shortcuts: all-zero targets give tau = 0; a single prime has the exact
-    one-parameter family tau = 2 pi (j + U_p)/log p.  The general case runs
-    LLL on a Kannan-embedded integer lattice, escalating the scale factor
-    up to ``max_attempts`` times.  The returned certificate always carries
+    The primes must start with 2 and number at least two.  LLL runs on a
+    Kannan-embedded integer lattice, escalating the scale factor up to
+    ``max_attempts`` times.  The returned certificate always carries
     re-verified defects; ``success`` records whether the tolerance was met.
     LatticeSearchError is raised when no attempt yields a candidate or a
     reduction passes its swap cap.
     """
-    if all(t == 0 for t in tg.targets):
-        cert = _verify("0.0", 0, tg, interval)
-        if cert.in_interval:
-            return cert
-    if len(tg.primes) == 1:
-        p, t = tg.primes[0], tg.targets[0]
-        j = 1
-        if interval is not None:
-            # pick j so that log10 tau lands inside the interval
-            lo, _ = interval
-            j = max(1, int(10 ** lo * math.log(p) / (2 * math.pi)))
-        with mp.workdps(60):
-            tau = 2 * mp.pi * (j + mp.mpf(t.numerator) / t.denominator) / mp.log(p)
-            return _verify(mp.nstr(tau, 45), j, tg, interval)
-
-    if tg.primes[0] != 2:
-        raise ValueError("the multi-prime search expects the prime 2 present")
+    if len(tg.primes) < 2 or tg.primes[0] != 2:
+        raise ValueError("the search needs the prime 2 and at least one more prime")
 
     u2 = tg.targets[0]
     rest = list(zip(tg.primes[1:], tg.targets[1:]))
@@ -254,7 +222,7 @@ def find_tau(tg: AngleTargets, interval=None, max_attempts: int = 3) -> TauCerti
             if k == 0:
                 continue
             cand = _tau_from_k(k, u2, dps_work)
-            cert = _verify(cand, k, tg, interval)
+            cert = _verify(cand, k, tg)
             if best is None or cert.max_defect < best.max_defect:
                 best = cert
             if cert.success:

@@ -138,7 +138,7 @@ def hurwitz_regularized(s: complex, a: float, deriv: int = 0) -> ComplexEval:
 # Riemann zeta and derivatives
 
 
-def _zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
+def zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
     """zeta^(d)(s) for d = 0..deriv: R(s, 1) plus the pole part's derivatives."""
     if abs(s - 1.0) < 1e-12:
         raise ZetaPoleError("zeta and its derivatives have a pole at s = 1")
@@ -149,21 +149,15 @@ def _zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
 
 
 def zeta(s: complex) -> ComplexEval:
-    return _zeta_orders(s, 0)[0]
+    return zeta_orders(s, 0)[0]
 
 
 def zeta_prime(s: complex) -> ComplexEval:
-    return _zeta_orders(s, 1)[1]
+    return zeta_orders(s, 1)[1]
 
 
 def zeta_second(s: complex) -> ComplexEval:
-    return _zeta_orders(s, 2)[2]
-
-
-def zeta_derivatives(s: complex) -> tuple[complex, complex]:
-    """(zeta'(s), zeta''(s)) from one Euler-Maclaurin pass."""
-    _, d1, d2 = _zeta_orders(s, 2)
-    return d1.value, d2.value
+    return zeta_orders(s, 2)[2]
 
 
 # ---------------------------------------------------------------------------

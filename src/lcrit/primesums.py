@@ -28,9 +28,6 @@ class PrimeTable:
     log_primes: np.ndarray  # float64, log of each prime
     _pp_cache: dict = field(default_factory=dict, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
     def primes_upto(self, y: float) -> np.ndarray:
         if y > self.limit:
             raise ValueError(f"y={y} exceeds table limit {self.limit}")

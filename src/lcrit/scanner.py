@@ -88,7 +88,10 @@ class ExtremeBounds:
     thm4: float  # mirrored upper-bound constant   2x thm3
 
 
+@lru_cache(maxsize=None)
 def theorem_bounds(q: int) -> ExtremeBounds:
+    """The four constants at q: the one place C0, phi(q)/q and
+    prod_{p|q}(p+1)/p are combined (frozen, so cached copies are shared)."""
     if q < 3:
         raise ValueError("q must be >= 3")
     c0 = euler_constant()
@@ -113,7 +116,7 @@ class DefectReport:
     lhs: float
     rhs: float
     allowance: float
-    slack: float  # rhs - lhs (+ allowance applied at violation test)
+    margin: float  # rhs - lhs (thm1) or lhs - rhs (thm3); violation below -allowance
     violation: bool
 
 
@@ -126,8 +129,8 @@ def coprime_majorant(x: float, q: int, tbl: ps.PrimeTable) -> float:
 
 
 def thm1_rhs(x: float, q: int) -> float:
-    """log log x + C0 - log(q/phi(q))."""
-    return math.log(math.log(x)) + euler_constant() + math.log(unit_density(q))
+    """log(thm2 log x) = log log x + C0 - log(q/phi(q))."""
+    return math.log(theorem_bounds(q).thm2 * math.log(x))
 
 
 _ALLOWANCE_SAFETY = 2.0  # a fitted allowance K is twice the worst defect
@@ -156,20 +159,17 @@ def check_thm1_inequality(s: complex, chr: Character, T: float,
     lhs = lfengine.log_l_truncated(s, chr, T, tbl).real
     rhs = thm1_rhs(x, chr.modulus)
     allowance = allowance_k / math.log(x)
-    slack = rhs - lhs
+    margin = rhs - lhs
     return DefectReport(
         q=chr.modulus, char_label=chr.label, s=complex(s), x=x,
-        lhs=lhs, rhs=rhs, allowance=allowance, slack=slack,
-        violation=slack < -allowance,
+        lhs=lhs, rhs=rhs, allowance=allowance, margin=margin,
+        violation=margin < -allowance,
     )
 
 
 def thm3_rhs(x: float, q: int) -> float:
-    """-log log x - C0 + log(pi^2/6) + sum_{p|q} log((p+1)/p)."""
-    return (
-        -math.log(math.log(x)) - euler_constant()
-        + math.log(math.pi**2 / 6.0) + math.log(ramified_product(q))
-    )
+    """log(thm4 / log x) = -log log x - C0 + log(pi^2/6) + sum_{p|q} log((p+1)/p)."""
+    return math.log(theorem_bounds(q).thm4 / math.log(x))
 
 
 def coprime_minorant(x: float, q: int, tbl: ps.PrimeTable) -> float:
@@ -204,26 +204,25 @@ def check_thm3_inequality(s: complex, chr: Character, x: float,
     lhs = ps.lambda_weighted_sum(s, x, w, tbl, over_log=True).real
     rhs = thm3_rhs(x, chr.modulus)
     allowance = allowance_k / math.log(x)
-    slack = lhs - rhs
+    margin = lhs - rhs
     return DefectReport(
         q=chr.modulus, char_label=chr.label, s=complex(s), x=x,
-        lhs=lhs, rhs=rhs, allowance=allowance, slack=slack,
-        violation=slack < -allowance,
+        lhs=lhs, rhs=rhs, allowance=allowance, margin=margin,
+        violation=margin < -allowance,
     )
 
 
 def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 1e6,
-                       n_t: int = 1000, sigma: float = 1.0,
-                       tbl: ps.PrimeTable | None = None) -> dict:
+                       n_t: int = 1000, tbl: ps.PrimeTable | None = None) -> dict:
     """The default grid: both inequality checks for every primitive
-    character of every q, sigma fixed, t log-spaced.  Returns a summary with
+    character of every q, at sigma = 1 and t log-spaced.  Returns a summary with
     violation counts (expected zero) and the frozen allowances."""
     if tbl is None:
         tbl = ps.sieve(10**6)
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_t))
     t_small = (float(ts[0]), float(ts[1]))
     out = {"grid": {"qs": list(qs), "t_lo": t_lo, "t_hi": t_hi, "n_t": n_t,
-                    "sigma": sigma},
+                    "sigma": 1.0},
            "per_q": {}, "violations_thm1": 0, "violations_thm3": 0,
            "checked": 0}
     for q in qs:
@@ -236,18 +235,18 @@ def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 
             if chr.is_principal:
                 continue
             for t in ts:
-                s = complex(sigma, float(t))
+                s = complex(1.0, float(t))
                 r1 = check_thm1_inequality(s, chr, float(t), tbl, k1)
                 x = math.log(float(t)) ** 2
                 r3 = check_thm3_inequality(s, chr, x, tbl, k3)
                 v1 += r1.violation
                 v3 += r3.violation
-                worst1 = min(worst1, r1.slack + r1.allowance)
-                worst3 = min(worst3, r3.slack + r3.allowance)
+                worst1 = min(worst1, r1.margin + r1.allowance)
+                worst3 = min(worst3, r3.margin + r3.allowance)
                 out["checked"] += 1
         out["per_q"][q] = {"allowance_k_thm1": k1, "allowance_k_thm3": k3,
-                           "min_guarded_slack_thm1": worst1,
-                           "min_guarded_slack_thm3": worst3,
+                           "min_guarded_margin_thm1": worst1,
+                           "min_guarded_margin_thm3": worst3,
                            "violations": v1 + v3}
         out["violations_thm1"] += v1
         out["violations_thm3"] += v3
@@ -302,19 +301,16 @@ class _Chain(NamedTuple):
     target_kind: str  # supplies the angle targets
     transfer_kind: str  # its M_x(1) enters the transfer identity
     transfer_term: Callable[[int], float]  # the transfer adds log of this at q
-    reference: Callable[[float, int, float, float], float]  # (C0, q, eps, x)
+    reference: Callable[[ExtremeBounds, float, float], float]  # (bounds at q, eps, x)
     factor: float  # threshold = factor * reference
     passes: Callable[[float, float], bool]  # (|L|, threshold): floor or cap
 
 
 _CHAINS = {
     2: _Chain("B", "C", unit_density,
-              lambda c0, q, eps, x: math.exp(c0) * unit_density(q) * eps * math.log(x),
-              0.5, operator.ge),
+              lambda b, eps, x: b.thm2 * eps * math.log(x), 0.5, operator.ge),
     4: _Chain("Bprime", "Cprime", ramified_product,
-              lambda c0, q, eps, x: (math.pi**2 / 6.0) * math.exp(-c0) * ramified_product(q)
-              / (eps * math.log(x)),
-              2.0, operator.le),
+              lambda b, eps, x: b.thm4 / (eps * math.log(x)), 2.0, operator.le),
 }
 
 
@@ -337,7 +333,7 @@ def _check_chain(theorem: int, chr: Character, x: float, delta: float,
     transfer_defect = abs(lhs - mx1 - math.log(spec.transfer_term(chr.modulus)))
     abs_l = math.exp(_log_l_at_tau(chr, tau, x, tbl).real)
     eps = params.epsilon
-    reference = spec.reference(euler_constant(), chr.modulus, eps, x)
+    reference = spec.reference(theorem_bounds(chr.modulus), eps, x)
     threshold = spec.factor * reference
     with mp.workdps(20):
         tl10 = float(mp.log10(abs(mp.mpf(cert.tau_str)))) if mp.mpf(cert.tau_str) != 0 else 0.0
@@ -384,7 +380,6 @@ class ScanRecord:
     norm_small: float  # |L| * log log t
     q: int
     char_label: int
-    source: str
     error: str = ""
 
 
@@ -392,7 +387,6 @@ class ScanRecord:
 class ScanReport:
     q: int
     char_label: int
-    source: str
     records: list = field(default_factory=list)
     running_max_large: list = field(default_factory=list)
     running_min_small: list = field(default_factory=list)
@@ -421,18 +415,18 @@ class ScanReport:
                 f"{rec.abs_l:.17g}", f"{rec.norm_large:.17g}",
                 f"{rec.norm_small:.17g}", f"{rml:.17g}", f"{rms:.17g}",
                 f"{b.thm1:.17g}" if b else "", f"{b.thm3:.17g}" if b else "",
-                rec.source, rec.error,
+                "sigma_grid", rec.error,
             ])
         return buf.getvalue()
 
 
-def scan(points, chr: Character, source: str = "sigma_grid") -> ScanReport:
+def scan(points, chr: Character) -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
     Points must have t > e (so log log t > 0); an evaluator error is
     recorded as "Type: message" and the scan continues.
     """
-    rep = ScanReport(q=chr.modulus, char_label=chr.label, source=source,
+    rep = ScanReport(q=chr.modulus, char_label=chr.label,
                      bounds=theorem_bounds(chr.modulus))
     cur_max = -math.inf
     cur_min = math.inf
@@ -442,23 +436,17 @@ def scan(points, chr: Character, source: str = "sigma_grid") -> ScanReport:
             raise ValueError("scan points need t > e")
         llt = math.log(math.log(s.imag))
         try:
-            val = abs(lfengine.dirichlet_l(s, chr).value)
-            rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
-                             norm_small=val * llt, q=chr.modulus,
-                             char_label=chr.label, source=source)
+            val, error = abs(lfengine.dirichlet_l(s, chr).value), ""
         except (lfengine.ZetaPoleError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:
             rep.errors += 1
-            rec = ScanRecord(point=s, abs_l=math.nan, norm_large=math.nan,
-                             norm_small=math.nan, q=chr.modulus,
-                             char_label=chr.label, source=source,
-                             error=f"{type(exc).__name__}: {exc}")
-            rep.records.append(rec)
-            rep.running_max_large.append(cur_max)
-            rep.running_min_small.append(cur_min)
-            continue
-        cur_max = max(cur_max, rec.norm_large)
-        cur_min = min(cur_min, rec.norm_small)
+            val, error = math.nan, f"{type(exc).__name__}: {exc}"
+        rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
+                         norm_small=val * llt, q=chr.modulus,
+                         char_label=chr.label, error=error)
+        if not error:
+            cur_max = max(cur_max, rec.norm_large)
+            cur_min = min(cur_min, rec.norm_small)
         rep.records.append(rec)
         rep.running_max_large.append(cur_max)
         rep.running_min_small.append(cur_min)

@@ -112,7 +112,7 @@ def test_small_prime_override_is_real(chr5, tbl):
 
 
 def test_s1_constant_dual_route(chr5, tbl):
-    direct = aux.s1_constant(chr5, tbl)
+    direct = aux.s1_constant(chr5)
     series = aux.s1_constant_series(chr5, float(tbl.limit), tbl)
     assert abs(direct - series) < 5e-3  # series converges like 1/log at 1e6
 
@@ -130,7 +130,7 @@ def test_s2_constant_dual_route(chr5, tbl):
 
 
 def test_choose_m(chr5, tbl):
-    s = aux.s1_constant(chr5, tbl)
+    s = aux.s1_constant(chr5)
     m2 = aux.choose_m(s, 2)
     assert 4 * math.log(m2) == pytest.approx(s.real + 4 * abs(s) + 1)
     m4 = aux.choose_m(s, 4)

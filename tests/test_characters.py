@@ -140,6 +140,16 @@ def test_coeff_array_built_once_and_read_only(q):
             assert arr[n] == pytest.approx(chi_value(chr, n), abs=1e-15)
 
 
+def test_coeff_array_is_chi_value_exactly():
+    # one conversion from angle to complex: chi = -1 carries no 1.2e-16 i
+    for q in range(3, 61):
+        for chr in enumerate_characters(q):
+            arr = chr.coeff_array()
+            assert all(arr[n] == chr(n) for n in range(q))
+            if chr.order <= 2:
+                assert not arr.imag.any()
+
+
 def test_small_moduli_rejected():
     with pytest.raises(ValueError):
         enumerate_characters(2)

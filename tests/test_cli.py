@@ -60,7 +60,7 @@ def test_cli_json_report(argv, expect, tmp_path, capsys):
     assert cli.main(argv + ["--json", str(out)]) == 0
     d = json.loads(out.read_text())
     assert {k: d[k] for k in expect} == expect
-    assert "seed" not in d
+    assert not {"seed", "search_interval", "in_interval"} & d.keys()
     assert d["config"] == {
         "euler_maclaurin_cutoff": lf.EULER_MACLAURIN_CUTOFF,
         "bernoulli_terms": lf.BERNOULLI_TERMS,
@@ -68,6 +68,21 @@ def test_cli_json_report(argv, expect, tmp_path, capsys):
         "sieve_limit": 10**6,
     }
     assert ("success: True" if argv[0] == "tau" else ": ok") in capsys.readouterr().out
+
+
+_TAU = ["tau", "--q", "5", "--chi", "1", "--x", "50"]
+
+
+def test_cli_tau_has_no_window():
+    with pytest.raises(SystemExit) as info:
+        cli.main(_TAU + ["--interval", "1,2"])
+    assert info.value.code == 2
+
+
+def test_cli_tau_zero_tolerance_rejected():
+    # 0 is a tolerance like any other, outside (0, 1/2); omit --tol for 1/log^2 x
+    with pytest.raises(ValueError):
+        cli.main(_TAU + ["--tol", "0"])
 
 
 def test_import_leaves_sympy_out():

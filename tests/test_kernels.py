@@ -101,7 +101,7 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         ("dirichlet_sum", lambda: aux.v_series_shifted(2.0 + 0j, 0, 1e4, tbl)),
         ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
-        ("hurwitz_main_sum", lambda: lfengine.zeta_derivatives(2.0 + 1j)),
+        ("hurwitz_main_sum", lambda: lfengine.zeta_orders(2.0 + 1j, 2)),
     ]
     for kernel, call in callers:
         before = counts[kernel]

@@ -49,9 +49,9 @@ def test_zeta_second_vs_finite_difference():
 
 def test_zeta_derivatives_is_one_pass_of_zeta_prime_and_second():
     for s in (2.3 + 4.0j, 0.5 + 14.1j, 1.1 - 0.05j, 3.0 + 400.0j):
-        assert lf.zeta_derivatives(s) == (lf.zeta_prime(s).value, lf.zeta_second(s).value)
+        assert lf.zeta_orders(s, 2) == [lf.zeta(s), lf.zeta_prime(s), lf.zeta_second(s)]
     with pytest.raises(lf.ZetaPoleError):
-        lf.zeta_derivatives(1.0 + 0j)
+        lf.zeta_orders(1.0 + 0j, 2)
 
 
 def _r_mp(s, a, d):

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from csv import DictReader
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +31,13 @@ def test_theorem_bound_relations(q):
     assert b.thm1 * b.thm3 == pytest.approx(
         (math.pi**2 / 6) * (euler_phi(q) / q) * ramified_product(q)
     )
+    # the inequality right-hand sides are the theorem constants at scale log x
+    for x in (50.0, 1e3, 1e6):
+        llx = math.log(math.log(x))
+        thm1_sum = llx + c0 + math.log(euler_phi(q) / q)
+        thm3_sum = -llx - c0 + math.log(math.pi**2 / 6) + math.log(ramified_product(q))
+        assert math.isclose(sc.thm1_rhs(x, q), thm1_sum, rel_tol=1e-15)
+        assert math.isclose(sc.thm3_rhs(x, q), thm3_sum, rel_tol=1e-15)
 
 
 def test_majorant_dominates_minorant(tbl):
@@ -82,6 +91,8 @@ def test_scan_report_csv(tbl):
     lines = csv.strip().splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("sigma,t,abs_l")
+    rows = list(DictReader(io.StringIO(csv)))
+    assert [r["source"] for r in rows] == ["sigma_grid"] * 5
 
 
 def test_scan_records_evaluator_errors(monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,23 +36,16 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number} ({self.name}, {self.seconds:.1f}s): {self.detail}"
 
 
-_TBL_CACHE: dict = {}
-_CERT_CACHE: dict = {}
+_table = lru_cache(maxsize=None)(ps.sieve)
 
 
-def _table(limit: int) -> ps.PrimeTable:
-    if limit not in _TBL_CACHE:
-        _TBL_CACHE[limit] = ps.sieve(limit)
-    return _TBL_CACHE[limit]
-
-
-def _certificate(kind: str, q: int, label: int, x: float, tol: float,
-                 tbl: ps.PrimeTable) -> dio.TauCertificate:
-    key = (kind, q, label, x, tol)
-    if key not in _CERT_CACHE:
-        scheme = aux.make_scheme(kind, enumerate_characters(q)[label], x, tbl, delta=0.75)
-        _CERT_CACHE[key] = dio.find_tau(dio.targets_from_scheme(scheme, tbl, tol))
-    return _CERT_CACHE[key]
+@lru_cache(maxsize=None)
+def _certificate(kind: str) -> dio.TauCertificate:
+    """The tau certificate of criteria 7 and 8: scheme ``kind`` for chi mod 5
+    (label 1) at x = 200 and tolerance 0.02."""
+    tbl = _table(10**7)
+    scheme = aux.make_scheme(kind, enumerate_characters(5)[1], 200.0, tbl, delta=0.75)
+    return dio.find_tau(dio.targets_from_scheme(scheme, tbl, 0.02))
 
 
 def _timed(fn):
@@ -260,7 +254,7 @@ def criterion_7() -> CriterionResult:
     def run():
         tbl = _table(10**7)
         chi = enumerate_characters(5)[1]
-        cert = _certificate("B", 5, 1, 200.0, 0.02, tbl)
+        cert = _certificate("B")
         reval = dio.revalidate(cert)
         scheme = aux.make_scheme("B", chi, 200.0, tbl, delta=0.75)
         pts = aux.inner_circle_points(scheme.params, 64)
@@ -283,10 +277,9 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     def run():
         tbl = _table(10**6)
-        big = _table(10**7)
         chi = enumerate_characters(5)[1]
-        c2 = _certificate("B", 5, 1, 200.0, 0.02, big)
-        c4 = _certificate("Bprime", 5, 1, 200.0, 0.02, big)
+        c2 = _certificate("B")
+        c4 = _certificate("Bprime")
         r2 = sc.check_thm2_chain(chi, tbl=tbl, cert=c2)
         r4 = sc.check_thm4_chain(chi, tbl=tbl, cert=c4)
         ratio = r2.abs_l / r4.abs_l

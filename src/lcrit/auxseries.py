@@ -29,7 +29,6 @@ from .characters import Character, prime_divisors
 
 SCHEME_KINDS = ("B", "C", "Bprime", "Cprime")
 S2_CUTOFF = 10**6  # S_2's prime series runs over p <= S2_CUTOFF
-_V_CUTOFF = 1e6  # cutoff of rouche_margin's prime-sum stand-in for -zeta'/zeta
 _NEWTON_STEPS = 50  # newton_root's iteration cap
 
 # weight tables: (p | q entry or None, range1, range2, range3, range4)
@@ -237,15 +236,9 @@ def make_scheme(kind: str, chr: Character, x: float, tbl: ps.PrimeTable,
 # The series themselves
 
 
-_PHASE_CACHE: dict = {}
-
-
 def _shift_phases(tau, x: float, tbl: ps.PrimeTable) -> np.ndarray:
     """exp(-i tau log n) per prime power n <= x, phases reduced mod 2 pi at
-    full precision; cached since they are independent of s."""
-    key = (mp.nstr(mp.mpf(tau), 40), float(x), id(tbl))
-    if key in _PHASE_CACHE:
-        return _PHASE_CACHE[key]
+    full precision."""
     pp = tbl.prime_powers(x)
     tau_mp = mp.mpf(tau) if not isinstance(tau, mp.mpf) else tau
     digits = int(mp.floor(mp.log10(abs(tau_mp)))) + 1 if tau_mp != 0 else 1
@@ -261,7 +254,6 @@ def _shift_phases(tau, x: float, tbl: ps.PrimeTable) -> np.ndarray:
                 logs[p] = mp.log(p)
             ph = mp.fmod(-tau_mp * int(pp.k[i]) * logs[p], two_pi)
             phases[i] = cmath.exp(1j * float(ph))
-    _PHASE_CACHE[key] = phases
     return phases
 
 
@@ -441,50 +433,15 @@ def root_in_inner_circle(scheme: WeightScheme) -> bool:
     return abs(closed_form_root(scheme) - rc.center) < rc.inner_radius
 
 
-def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, tau=0,
-                  n: int = 32) -> float:
-    """min |aux_series| minus max |(-zeta'/zeta)(s+i tau) - aux_series(s)|
-    over boundary samples of the inner circle; positive certifies a zero of
-    zeta' inside the shifted circle (numerically, not rigorously).
-
-    For tau beyond ~1e6 the exact -zeta'/zeta is replaced by the truncated
-    prime sum V_cutoff(s + i tau) with cutoff 1e6; on the toy circles
-    Re s > 1.4, so the discarded tail is below cutoff^(1-sigma) log cutoff /
-    (sigma - 1).
-    """
+def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, n: int = 32) -> float:
+    """min |aux_series| minus max |(-zeta'/zeta)(s) - aux_series(s)| over
+    boundary samples of the inner circle; positive certifies a zero of zeta'
+    inside the circle (numerically, not rigorously)."""
     pts = inner_circle_points(scheme.params, n)
     ws = [aux_series(s, scheme, tbl) for s in pts]
     min_w = min(abs(w) for w in ws)
     max_d = 0.0
-    use_exact = abs(mp.mpf(tau)) < 1e6
     for s, w in zip(pts, ws):
-        if use_exact:
-            st = s + 1j * float(tau)
-            z, zp = lfengine.zeta_orders(st, 1)
-            neg_logd = -zp.value / z.value
-        else:
-            neg_logd = v_series_shifted(s, tau, _V_CUTOFF, tbl)
-        max_d = max(max_d, abs(neg_logd - w))
+        z, zp = lfengine.zeta_orders(s, 1)
+        max_d = max(max_d, abs(-zp.value / z.value - w))
     return min_w - max_d
-
-
-# ---------------------------------------------------------------------------
-# M-series identities (the log-weighted companions)
-
-
-def m_series_ramified_check(scheme: WeightScheme,
-                            tbl: ps.PrimeTable) -> tuple[complex, complex, float]:
-    """Ramified part of M_x(1) vs -sum_{p|q} log(1 -+ 1/p): returns
-    (finite part, closed form, |defect|).  Kind C compares against
-    -log(1 - 1/p); Cprime against -log(1 + 1/p)."""
-    if scheme.kind not in ("C", "Cprime"):
-        raise ValueError("kinds C and Cprime only")
-    pr = scheme.params
-    pp = tbl.prime_powers(pr.x)
-    ram = pr.chr.modulus % pp.p == 0
-    sign = 1.0 if scheme.kind == "C" else -1.0
-    # c(p) = sign at ramified primes (they all sit below x^eps)
-    coeff = (sign ** pp.k[ram].astype(np.float64)) / pp.k[ram]
-    lhs = kernels.dirichlet_sum(pp.logn[ram], coeff.astype(np.complex128), 1.0 + 0j)
-    rhs = complex(sum(-math.log(1 - sign / p) for p in prime_divisors(pr.chr.modulus)))
-    return lhs, rhs, abs(lhs - rhs)

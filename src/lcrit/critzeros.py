@@ -251,23 +251,3 @@ def write_csv(points, path: str) -> None:
                     b.sigma_min, b.sigma_max, b.t_min, b.t_max,
                 )
             ])
-
-
-def read_csv(path: str) -> CriticalPointList:
-    out = CriticalPointList()
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            box = SearchRect(
-                sigma_min=float(row["box_sigma_min"]),
-                sigma_max=float(row["box_sigma_max"]),
-                t_min=float(row["box_t_min"]),
-                t_max=float(row["box_t_max"]),
-                grid_resolution=(float(row["box_sigma_max"]) - float(row["box_sigma_min"])) / 8,
-            )
-            out.append(
-                CriticalPoint(
-                    float(row["beta_prime"]), float(row["gamma_prime"]),
-                    float(row["residual"]), box,
-                )
-            )
-    return out

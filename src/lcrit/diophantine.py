@@ -17,7 +17,6 @@ certificate re-verifies every defect at sufficient precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +36,9 @@ class LatticeSearchError(RuntimeError):
     """The lattice step of the tau search failed: no candidate tau, or the
     reduction passed its swap cap."""
 
-    def __init__(self, reason: str, dim: int, bits: int, attempts: int):
-        super().__init__(f"{reason} (dimension {dim}, {bits}-bit entries, {attempts} attempt(s))")
-        self.reason, self.dim, self.bits, self.attempts = reason, dim, bits, attempts
+    def __init__(self, reason: str, dim: int, bits: int):
+        super().__init__(f"{reason} (dimension {dim}, {bits}-bit entries)")
+        self.reason, self.dim, self.bits = reason, dim, bits
 
 
 @dataclass(frozen=True)
@@ -93,20 +92,6 @@ class TauCertificate:
             "success": self.success,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "TauCertificate":
-        return TauCertificate(
-            tau_str=d["tau"],
-            k=int(d["k"]),
-            primes=tuple(d["primes"]),
-            targets=tuple(Fraction(a, b) for a, b in d["targets"]),
-            defects=tuple(d["defects"]),
-            max_defect=d["max_defect"],
-            weight_defects=tuple(d["weight_defects"]),
-            tolerance=d["tolerance"],
-            success=d["success"],
-        )
-
 
 def targets_from_scheme(scheme, tbl, tolerance: float | None = None) -> AngleTargets:
     """Angle targets U_p = arg(conj of weight at p)/2pi for all p <= x.
@@ -158,15 +143,15 @@ def _tau_from_k(k: int, u2: Fraction, dps: int) -> str:
         return mp.nstr(tau, dps - 10, strip_zeros=False)
 
 
-def find_tau(tg: AngleTargets, max_attempts: int = 3) -> TauCertificate:
+def find_tau(tg: AngleTargets) -> TauCertificate:
     """Search for tau meeting every target within tolerance.
 
-    The primes must start with 2 and number at least two.  LLL runs on a
-    Kannan-embedded integer lattice, escalating the scale factor up to
-    ``max_attempts`` times.  The returned certificate always carries
-    re-verified defects; ``success`` records whether the tolerance was met.
-    LatticeSearchError is raised when no attempt yields a candidate or a
-    reduction passes its swap cap.
+    The primes must start with 2 and number at least two.  One LLL reduction
+    of a Kannan-embedded integer lattice yields the candidates; the first that
+    meets the tolerance is returned, else the best.  The returned certificate
+    always carries re-verified defects; ``success`` records whether the
+    tolerance was met.  LatticeSearchError is raised when the reduced basis
+    holds no candidate or the reduction passes its swap cap.
     """
     if len(tg.primes) < 2 or tg.primes[0] != 2:
         raise ValueError("the search needs the prime 2 and at least one more prime")
@@ -175,62 +160,54 @@ def find_tau(tg: AngleTargets, max_attempts: int = 3) -> TauCertificate:
     rest = list(zip(tg.primes[1:], tg.targets[1:]))
     N = len(rest)
     delta_lat = tg.tolerance / 3.0
+    # pigeonhole estimate for the size of k needed to hit N targets to
+    # within delta_lat
+    log_h = (
+        N * math.log(1.0 / (2 * delta_lat))
+        + (N / 2.0) * math.log(2.0) / 2.0
+        + math.log(1e3)
+    )
+    dps_work = int(log_h / math.log(10)) + 80
+    with mp.workdps(dps_work):
+        h_int = int(mp.e**log_h)
+        s_int = int(mp.mpf(h_int) * 1000 / delta_lat)
+        log2 = mp.log(2)
+        gam = [mp.log(p) / log2 for p, _ in rest]
+        vp = []
+        for (p, t), g in zip(rest, gam):
+            v = mp.mpf(t.numerator) / t.denominator - mp.mpf(u2.numerator) / u2.denominator * g
+            vp.append(v - mp.floor(v))
+        r0 = [int(mp.nint(s_int * g)) for g in gam]
+        rt = [int(mp.nint(s_int * v)) for v in vp]
+    b_int = int(mp.mpf(s_int) * delta_lat)
+    a_w = 1000  # = s_int * delta_lat / h_int, the per-unit-k penalty
+    rows = [r0 + [a_w, 0]]
+    for i in range(N):
+        e = [0] * N
+        e[i] = s_int
+        rows.append(e + [0, 0])
+    rows.append(rt + [0, b_int])
     best = None
-
-    for attempt in range(max_attempts):
-        # pigeonhole estimate for the size of k needed to hit N targets to
-        # within delta_lat; each escalation pads the exponent further
-        log_h = (
-            N * math.log(1.0 / (2 * delta_lat))
-            + (N / 2.0) * math.log(2.0) / 2.0
-            + math.log(1e3)
-            + attempt * 0.3 * N
-        )
-        dps_work = int(log_h / math.log(10)) + 80
-        with mp.workdps(dps_work):
-            h_int = int(mp.e**log_h)
-            s_int = int(mp.mpf(h_int) * 1000 / delta_lat)
-            log2 = mp.log(2)
-            gam = [mp.log(p) / log2 for p, _ in rest]
-            vp = []
-            for (p, t), g in zip(rest, gam):
-                v = mp.mpf(t.numerator) / t.denominator - mp.mpf(u2.numerator) / u2.denominator * g
-                vp.append(v - mp.floor(v))
-            r0 = [int(mp.nint(s_int * g)) for g in gam]
-            rt = [int(mp.nint(s_int * v)) for v in vp]
-        b_int = int(mp.mpf(s_int) * delta_lat)
-        a_w = 1000  # = s_int * delta_lat / h_int, the per-unit-k penalty
-        rows = [r0 + [a_w, 0]]
-        for i in range(N):
-            e = [0] * N
-            e[i] = s_int
-            rows.append(e + [0, 0])
-        rows.append(rt + [0, b_int])
-        try:
-            red = _lll(rows)
-        except LatticeSearchError as err:
-            raise LatticeSearchError(err.reason, err.dim, err.bits, attempt + 1) from None
-        for row in red:
-            if abs(row[-1]) != b_int:
-                continue
-            if row[-1] == b_int:  # negate so the row is (combo) - r_t
-                row = [-v for v in row]
-            kaw = row[-2]
-            if kaw % a_w != 0:
-                continue
-            k = kaw // a_w
-            if k == 0:
-                continue
-            cand = _tau_from_k(k, u2, dps_work)
-            cert = _verify(cand, k, tg)
-            if best is None or cert.max_defect < best.max_defect:
-                best = cert
-            if cert.success:
-                return cert
+    for row in _lll(rows):
+        if abs(row[-1]) != b_int:
+            continue
+        if row[-1] == b_int:  # negate so the row is (combo) - r_t
+            row = [-v for v in row]
+        kaw = row[-2]
+        if kaw % a_w != 0:
+            continue
+        k = kaw // a_w
+        if k == 0:
+            continue
+        cand = _tau_from_k(k, u2, dps_work)
+        cert = _verify(cand, k, tg)
+        if best is None or cert.max_defect < best.max_defect:
+            best = cert
+        if cert.success:
+            return cert
     if best is None:
         bits = max(abs(v) for row in rows for v in row).bit_length()
-        raise LatticeSearchError("lattice reduction produced no candidate tau",
-                                 N + 2, bits, max_attempts)
+        raise LatticeSearchError("lattice reduction produced no candidate tau", N + 2, bits)
     return best
 
 
@@ -276,23 +253,13 @@ def _lll(rows: list) -> list:
         if k and ck < (_DELTA - muk[k - 1] ** 2) * c[k - 1]:
             swaps += 1
             if swaps > _MAX_SWAPS:
-                raise LatticeSearchError(f"reduction passed {_MAX_SWAPS} swaps", m, bits, 0)
+                raise LatticeSearchError(f"reduction passed {_MAX_SWAPS} swaps", m, bits)
             b[k - 1], b[k] = b[k], b[k - 1]
             bf[k - 1], bf[k] = bf[k], bf[k - 1]
             k -= 1
         else:
             k += 1
     return b
-
-
-def save_certificate(cert: TauCertificate, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cert.to_json(), fh, indent=1)
-
-
-def load_certificate(path: str) -> TauCertificate:
-    with open(path) as fh:
-        return TauCertificate.from_json(json.load(fh))
 
 
 def revalidate(cert: TauCertificate) -> bool:

@@ -21,11 +21,10 @@ SIEVE_LIMIT_GUARD = 10**9
 
 @dataclass
 class PrimeTable:
-    """Primes up to a limit with a cache of their logarithms."""
+    """Primes up to a limit with a cache of their prime-power views."""
 
     limit: int
     primes: np.ndarray  # int64, ascending
-    log_primes: np.ndarray  # float64, log of each prime
     _pp_cache: dict = field(default_factory=dict, repr=False)
 
     def primes_upto(self, y: float) -> np.ndarray:
@@ -54,7 +53,7 @@ class PrimePowers(NamedTuple):
 
 
 def sieve(x_max: int) -> PrimeTable:
-    """Eratosthenes sieve with log cache; x_max in [2, 10^9]."""
+    """Eratosthenes sieve; x_max in [2, 10^9]."""
     if not 2 <= x_max <= SIEVE_LIMIT_GUARD:
         raise ValueError(f"x_max must be in [2, {SIEVE_LIMIT_GUARD}], got {x_max}")
     flags = np.ones(x_max + 1, dtype=bool)
@@ -63,7 +62,7 @@ def sieve(x_max: int) -> PrimeTable:
         if flags[p]:
             flags[p * p :: p] = False
     primes = np.flatnonzero(flags).astype(np.int64)
-    return PrimeTable(limit=x_max, primes=primes, log_primes=np.log(primes))
+    return PrimeTable(limit=x_max, primes=primes)
 
 
 def _build_prime_powers(tbl: PrimeTable, x: float) -> PrimePowers:

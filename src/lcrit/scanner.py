@@ -70,10 +70,6 @@ def euler_constant_dual() -> tuple:
         return +c1, float(diff)
 
 
-def euler_constant() -> float:
-    return float(euler_constant_dual()[0])
-
-
 # ---------------------------------------------------------------------------
 # Theorem constants
 
@@ -94,7 +90,7 @@ def theorem_bounds(q: int) -> ExtremeBounds:
     prod_{p|q}(p+1)/p are combined (frozen, so cached copies are shared)."""
     if q < 3:
         raise ValueError("q must be >= 3")
-    c0 = euler_constant()
+    c0 = float(euler_constant_dual()[0])
     dens = unit_density(q)
     ram = ramified_product(q)
     thm2 = math.exp(c0) * dens
@@ -213,12 +209,10 @@ def check_thm3_inequality(s: complex, chr: Character, x: float,
 
 
 def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 1e6,
-                       n_t: int = 1000, tbl: ps.PrimeTable | None = None) -> dict:
+                       n_t: int = 1000, *, tbl: ps.PrimeTable) -> dict:
     """The default grid: both inequality checks for every primitive
     character of every q, at sigma = 1 and t log-spaced.  Returns a summary with
     violation counts (expected zero) and the frozen allowances."""
-    if tbl is None:
-        tbl = ps.sieve(10**6)
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_t))
     t_small = (float(ts[0]), float(ts[1]))
     out = {"grid": {"qs": list(qs), "t_lo": t_lo, "t_hi": t_hi, "n_t": n_t,
@@ -315,11 +309,9 @@ _CHAINS = {
 
 
 def _check_chain(theorem: int, chr: Character, x: float, delta: float,
-                 tbl: ps.PrimeTable | None, tolerance: float,
+                 tbl: ps.PrimeTable, tolerance: float,
                  cert: dio.TauCertificate | None) -> ChainReport:
     spec = _CHAINS[theorem]
-    if tbl is None:
-        tbl = ps.sieve(10**6)
     scheme = aux.make_scheme(spec.target_kind, chr, x, tbl, delta=delta)
     params = scheme.params
     if cert is None:
@@ -347,8 +339,8 @@ def _check_chain(theorem: int, chr: Character, x: float, delta: float,
     )
 
 
-def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
-                     tbl: ps.PrimeTable | None = None, tolerance: float = 0.02,
+def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75, *,
+                     tbl: ps.PrimeTable, tolerance: float = 0.02,
                      cert: dio.TauCertificate | None = None) -> ChainReport:
     """Constructive lower-bound pipeline at toy scale.
 
@@ -360,8 +352,8 @@ def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
     return _check_chain(2, chr, x, delta, tbl, tolerance, cert)
 
 
-def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75,
-                     tbl: ps.PrimeTable | None = None, tolerance: float = 0.02,
+def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75, *,
+                     tbl: ps.PrimeTable, tolerance: float = 0.02,
                      cert: dio.TauCertificate | None = None) -> ChainReport:
     """Mirror pipeline: scheme B' targets, scheme C' transfer, upper bound
     |L(1+i tau)| <= 2 * (pi^2 e^-C0/6) prod (p+1)/p / (eps log x)."""
@@ -378,8 +370,6 @@ class ScanRecord:
     abs_l: float
     norm_large: float  # |L| / log log t
     norm_small: float  # |L| * log log t
-    q: int
-    char_label: int
     error: str = ""
 
 
@@ -423,9 +413,12 @@ class ScanReport:
 def scan(points, chr: Character) -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
-    Points must have t > e (so log log t > 0); an evaluator error is
-    recorded as "Type: message" and the scan continues.
+    The character must be non-principal and the points must have t > e
+    (so log log t > 0); an evaluator error is recorded as "Type: message"
+    and the scan continues.
     """
+    if chr.is_principal:
+        raise ValueError("scan requires a non-principal character")
     rep = ScanReport(q=chr.modulus, char_label=chr.label,
                      bounds=theorem_bounds(chr.modulus))
     cur_max = -math.inf
@@ -442,8 +435,7 @@ def scan(points, chr: Character) -> ScanReport:
             rep.errors += 1
             val, error = math.nan, f"{type(exc).__name__}: {exc}"
         rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
-                         norm_small=val * llt, q=chr.modulus,
-                         char_label=chr.label, error=error)
+                         norm_small=val * llt, error=error)
         if not error:
             cur_max = max(cur_max, rec.norm_large)
             cur_min = min(cur_min, rec.norm_small)

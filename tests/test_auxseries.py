@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,7 +87,7 @@ def test_aux_series_matches_lambda_weighted_sum(kind, chr5, tbl):
     # primes <= x differ from the real table's, so a vector built for another
     # table cannot give this table's value
     keep = small.primes != 7
-    doctored = ps.PrimeTable(10**5, small.primes[keep], small.log_primes[keep])
+    doctored = ps.PrimeTable(10**5, small.primes[keep])
     at_one = {}
     for name, t in (("1e5", small), ("1e6", tbl), ("doctored", doctored)):
         for s in (1.0 + 0j, 1.05 + 0.02j, 1.5 - 2.0j, 3.0 + 10.0j):
@@ -238,6 +239,20 @@ def test_v_series_shift_at_tau_zero(chr5, tbl):
     assert abs(plain - direct) < 1e-10
 
 
+def test_v_series_shifted_tells_nearby_large_taus_apart(tbl_small):
+    # the two shifts round to the same 53-bit float but differ by 1e5, so
+    # every phase tau log n (n <= 200) moves by thousands of radians: the
+    # phases must come from the full-precision tau
+    with mp.workdps(50):
+        tau1 = mp.mpf("1234567890123456789012345.5")
+        tau2 = tau1 + 10**5
+    assert mp.mpf(tau1) == mp.mpf(tau2)
+    v1 = aux.v_series_shifted(1.0 + 0j, tau1, 200.0, tbl_small)
+    v2 = aux.v_series_shifted(1.0 + 0j, tau2, 200.0, tbl_small)
+    assert abs(v1 - v2) > 0.1
+    assert aux.v_series_shifted(1.0 + 0j, tau2, 200.0, tbl_small) == v2
+
+
 def test_aux_series_conjugation(chr5, tbl):
     # conjugate character gives the conjugate series at real s
     chars = enumerate_characters(5)
@@ -246,17 +261,6 @@ def test_aux_series_conjugation(chr5, tbl):
     a = aux.aux_series(1.2 + 0j, sch, tbl)
     b = aux.aux_series(1.2 + 0j, schbar, tbl)
     assert abs(a - b.conjugate()) < 1e-10
-
-
-def test_m_series_value_at_one(chr5, tbl):
-    # scheme C transfer: M_x(1) tracks -log(phi(q)/q) + V-type sum; the
-    # ramified bookkeeping must close to a small residual
-    sch_c = aux.make_scheme("C", chr5, 1e4, tbl, delta=0.75)
-    lhs, rhs, defect = aux.m_series_ramified_check(sch_c, tbl)
-    assert defect < 1e-3
-    sch_cp = aux.make_scheme("Cprime", chr5, 1e4, tbl, delta=0.75)
-    _, _, defect_p = aux.m_series_ramified_check(sch_cp, tbl)
-    assert defect_p < 1e-3
 
 
 def test_linear_domain_guard(scheme_b):

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from lcrit import critzeros as cz
@@ -60,11 +62,13 @@ def test_csv_roundtrip(tmp_path):
     pts = cz.find_critical_points(rect)
     path = tmp_path / "zeros.csv"
     cz.write_csv(pts, str(path))
-    back = cz.read_csv(str(path))
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(pts)
+    # 17 significant digits round-trip a float exactly
     for a, b in zip(pts, back):
-        assert a.beta_prime == pytest.approx(b.beta_prime, rel=1e-15)
-        assert a.gamma_prime == pytest.approx(b.gamma_prime, rel=1e-15)
+        assert float(b["beta_prime"]) == a.beta_prime
+        assert float(b["gamma_prime"]) == a.gamma_prime
 
 
 def test_all_zeros_right_of_half():

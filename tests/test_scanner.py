@@ -22,7 +22,7 @@ def test_theorem_bound_relations(q):
     b = sc.theorem_bounds(q)
     assert b.thm2 == pytest.approx(b.thm1 / 2)
     assert b.thm4 == pytest.approx(2 * b.thm3)
-    c0 = sc.euler_constant()
+    c0 = float(sc.euler_constant_dual()[0])
     assert b.thm1 == pytest.approx(2 * math.exp(c0) * euler_phi(q) / q)
     assert b.thm3 == pytest.approx(
         (math.pi**2 / 12) * math.exp(-c0) * ramified_product(q)
@@ -73,6 +73,11 @@ def test_scan_requires_t_above_e(tbl):
     chr = enumerate_characters(5)[1]
     with pytest.raises(ValueError):
         sc.scan([complex(1.0, 2.0)], chr)
+
+
+def test_scan_rejects_principal_character():
+    with pytest.raises(ValueError):
+        sc.scan([1 + 50j], enumerate_characters(5)[0])
 
 
 def test_scan_report_csv(tbl):

@@ -58,7 +58,7 @@ def cmd_bounds(args):
 
 
 def cmd_zeros(args):
-    s1, s2, t1, t2 = (float(v) for v in args.rect.split(","))
+    s1, s2, t1, t2 = args.rect
     rect = cz.SearchRect(s1, s2, t1, t2, grid_resolution=args.res)
     pts = cz.find_critical_points(rect)
     if args.csv:
@@ -70,11 +70,10 @@ def cmd_zeros(args):
 
 
 def cmd_scan(args):
-    chr = enumerate_characters(args.q)[args.chi]
-    t1, t2, n = args.grid.split(":")
-    ts = np.exp(np.linspace(math.log(float(t1)), math.log(float(t2)), int(n)))
+    t1, t2, n = args.grid
+    ts = np.exp(np.linspace(math.log(t1), math.log(t2), n))
     points = [complex(args.sigma, float(t)) for t in ts]
-    rep = sc.scan(points, chr)
+    rep = sc.scan(points, args.chr)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(rep.to_csv())
@@ -88,8 +87,7 @@ def cmd_scan(args):
 
 def cmd_tau(args):
     tbl = ps.sieve(max(SIEVE_LIMIT, int(args.x) + 1))
-    chr = enumerate_characters(args.q)[args.chi]
-    scheme = aux.make_scheme("B", chr, args.x, tbl, delta=args.delta)
+    scheme = aux.make_scheme("B", args.chr, args.x, tbl, delta=args.delta)
     cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, args.tol))
     if args.json:
         with open(args.json, "w") as fh:
@@ -103,9 +101,8 @@ def cmd_tau(args):
 
 def _chain(args, which):
     tbl = ps.sieve(SIEVE_LIMIT)
-    chr = enumerate_characters(args.q)[args.chi]
     fn = sc.check_thm2_chain if which == 2 else sc.check_thm4_chain
-    rep = fn(chr, x=args.x, delta=args.delta, tbl=tbl)
+    rep = fn(args.chr, x=args.x, delta=args.delta, tbl=tbl)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({**rep.to_json(), "config": CONFIG}, fh, indent=1)
@@ -123,6 +120,22 @@ def cmd_verify(args):
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if n_pass == len(results) else 1
+
+
+def _numbers(metavar: str, sep: str, kinds: tuple):
+    """An argparse type for text shaped like ``metavar``: one number of each
+    kind, joined by ``sep``."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if len(parts) == len(kinds):
+                return tuple(kind(v) for kind, v in zip(kinds, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {metavar}, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("zeros", help="zeros of zeta' in a rectangle")
-    p.add_argument("--rect", required=True, metavar="s1,s2,t1,t2")
+    p.add_argument("--rect", required=True, metavar="s1,s2,t1,t2",
+                   type=_numbers("s1,s2,t1,t2", ",", (float,) * 4))
     p.add_argument("--res", type=float, default=0.25)
     p.add_argument("--csv", help="write zero list to this CSV file")
     p.set_defaults(fn=cmd_zeros)
@@ -151,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="|L| statistics on a sigma + it grid")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--chi", type=int, required=True, help="character label")
-    p.add_argument("--grid", required=True, metavar="t1:t2:N")
+    p.add_argument("--grid", required=True, metavar="t1:t2:N",
+                   type=_numbers("t1:t2:N", ":", (float, float, int)))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--csv", help="write plot-ready CSV to this file")
     p.set_defaults(fn=cmd_scan)
@@ -180,7 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if "chi" in vars(args):
+        chars = enumerate_characters(args.q)
+        if not 0 <= args.chi < len(chars):
+            ap.error(f"--chi must be a character label 0..{len(chars) - 1} mod {args.q}")
+        args.chr = chars[args.chi]
+        if args.command == "scan" and args.chr.is_principal:
+            ap.error("scan needs a non-principal character; --chi 0 is principal")
     return args.fn(args)
 
 

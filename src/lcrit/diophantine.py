@@ -13,6 +13,20 @@ floating-point LLL of Schnorr and Euchner, Math. Programming 66, 1994).  The
 resulting k is astronomically large (hundreds of digits for ~50 primes), so
 tau is carried as an mpmath value plus its exact integer k, and the
 certificate re-verifies every defect at sufficient precision.
+
+The lattice is a target-free prefix (the k generator and the s_int I rows,
+fixed by the primes and the tolerance) plus one target row.  The prefix is
+reduced once per (primes, tolerance) and kept in a small cache; each search
+then embeds its target row below the reduced prefix and reduces again.  The
+split is exact: until the rows above the last one are reduced, _lll neither
+reads nor changes the last row, so the whole reduction first computes the
+reduced prefix.  _lll recomputes the Gram-Schmidt coefficients from the
+integer rows on every visit, so the second call walks the reduced prefix
+without a change (its coefficients agree with the ones the whole reduction
+carries up to rounding, so only a test that rounding flips could part the
+two) and meets the target row where the whole reduction does.  Both calls use
+the float scale of the whole lattice.  Split and whole give the same basis
+row for row on every lattice the tests try, and the same certificates.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 import mpmath as mp
@@ -30,11 +45,14 @@ _BIG_COEFF = 2.0**26  # a larger size-reduction coefficient leaves float mu stal
 # size-reduction bound: |mu| up to 1/2 + 1e-9 stays, so an exact tie at 1/2 is
 # kept whichever way the float lands, and n + 1/2 rounds up, as exact LLL does
 _ETA = 0.5 + 1e-9
+_A_W = 1000  # weight of the k column: s_int * delta_lat / h_int, the per-unit-k penalty
+_PREFIX_CACHE_SIZE = 8  # reduced target-free prefixes kept, one per (primes, tolerance)
 
 
 class LatticeSearchError(RuntimeError):
-    """The lattice step of the tau search failed: no candidate tau, or the
-    reduction passed its swap cap."""
+    """The lattice step of the tau search failed: no candidate tau, or a
+    reduction passed its swap cap.  ``dim`` is the length of the lattice's
+    rows, so a failing prefix reduction reports the search's dimension."""
 
     def __init__(self, reason: str, dim: int, bits: int):
         super().__init__(f"{reason} (dimension {dim}, {bits}-bit entries)")
@@ -143,60 +161,93 @@ def _tau_from_k(k: int, u2: Fraction, dps: int) -> str:
         return mp.nstr(tau, dps - 10, strip_zeros=False)
 
 
+def _lattice_size(primes: tuple, tolerance: float) -> tuple[int, int]:
+    """s_int, the lattice's unit for one turn, and the working precision.
+
+    Both follow from the pigeonhole estimate for the size of k needed to hit
+    len(primes) - 1 targets to within tolerance / 3.
+    """
+    n = len(primes) - 1
+    delta_lat = tolerance / 3.0
+    log_h = (
+        n * math.log(1.0 / (2 * delta_lat))
+        + (n / 2.0) * math.log(2.0) / 2.0
+        + math.log(1e3)
+    )
+    dps = int(log_h / math.log(10)) + 80
+    with mp.workdps(dps):
+        h_int = int(mp.e**log_h)
+        return int(mp.mpf(h_int) * _A_W / delta_lat), dps
+
+
+def _gammas(primes: tuple) -> list:
+    """log p / log 2 for every prime after 2, at the current precision."""
+    log2 = mp.log(2)
+    return [mp.log(p) / log2 for p in primes[1:]]
+
+
+def _bits(rows) -> int:
+    return max(abs(v) for row in rows for v in row).bit_length()
+
+
+@lru_cache(maxsize=_PREFIX_CACHE_SIZE)
+def _reduced_prefix(primes: tuple, tolerance: float) -> tuple[tuple, int]:
+    """The target-free rows of find_tau's lattice, LLL-reduced, as tuples,
+    and the bit size of the unreduced rows.
+
+    The rows are the k generator (s_int log p/log 2 rounded, the k weight, 0)
+    and s_int times each unit vector: the primes and the tolerance fix them.
+    The target row's entries stay below s_int, so these bits are the whole
+    lattice's, and the embedding reduction uses the same float scale.
+    """
+    s_int, dps = _lattice_size(primes, tolerance)
+    with mp.workdps(dps):
+        rows = [[int(mp.nint(s_int * g)) for g in _gammas(primes)] + [_A_W, 0]]
+    n = len(primes) - 1
+    for i in range(n):
+        e = [0] * n
+        e[i] = s_int
+        rows.append(e + [0, 0])
+    bits = _bits(rows)
+    return tuple(tuple(row) for row in _lll(rows, bits)), bits
+
+
 def find_tau(tg: AngleTargets) -> TauCertificate:
     """Search for tau meeting every target within tolerance.
 
-    The primes must start with 2 and number at least two.  One LLL reduction
-    of a Kannan-embedded integer lattice yields the candidates; the first that
-    meets the tolerance is returned, else the best.  The returned certificate
-    always carries re-verified defects; ``success`` records whether the
-    tolerance was met.  LatticeSearchError is raised when the reduced basis
-    holds no candidate or the reduction passes its swap cap.
+    The primes must start with 2 and number at least two.  The candidates
+    come from a Kannan-embedded integer lattice: its target-free prefix is
+    LLL-reduced once per (primes, tolerance), and each search reduces only
+    its target row against that reduced prefix (the module docstring says
+    why this gives the whole lattice's reduced basis).  The first candidate
+    that meets the tolerance is returned, else the best.  The returned
+    certificate always carries re-verified defects; ``success`` records
+    whether the tolerance was met.  LatticeSearchError is raised when the
+    reduced basis holds no candidate or a reduction passes its swap cap.
     """
     if len(tg.primes) < 2 or tg.primes[0] != 2:
         raise ValueError("the search needs the prime 2 and at least one more prime")
 
+    prefix, bits = _reduced_prefix(tg.primes, tg.tolerance)
+    s_int, dps_work = _lattice_size(tg.primes, tg.tolerance)
     u2 = tg.targets[0]
-    rest = list(zip(tg.primes[1:], tg.targets[1:]))
-    N = len(rest)
-    delta_lat = tg.tolerance / 3.0
-    # pigeonhole estimate for the size of k needed to hit N targets to
-    # within delta_lat
-    log_h = (
-        N * math.log(1.0 / (2 * delta_lat))
-        + (N / 2.0) * math.log(2.0) / 2.0
-        + math.log(1e3)
-    )
-    dps_work = int(log_h / math.log(10)) + 80
     with mp.workdps(dps_work):
-        h_int = int(mp.e**log_h)
-        s_int = int(mp.mpf(h_int) * 1000 / delta_lat)
-        log2 = mp.log(2)
-        gam = [mp.log(p) / log2 for p, _ in rest]
-        vp = []
-        for (p, t), g in zip(rest, gam):
-            v = mp.mpf(t.numerator) / t.denominator - mp.mpf(u2.numerator) / u2.denominator * g
-            vp.append(v - mp.floor(v))
-        r0 = [int(mp.nint(s_int * g)) for g in gam]
-        rt = [int(mp.nint(s_int * v)) for v in vp]
-    b_int = int(mp.mpf(s_int) * delta_lat)
-    a_w = 1000  # = s_int * delta_lat / h_int, the per-unit-k penalty
-    rows = [r0 + [a_w, 0]]
-    for i in range(N):
-        e = [0] * N
-        e[i] = s_int
-        rows.append(e + [0, 0])
-    rows.append(rt + [0, b_int])
+        u = mp.mpf(u2.numerator) / u2.denominator
+        rt = []
+        for t, g in zip(tg.targets[1:], _gammas(tg.primes)):
+            v = mp.mpf(t.numerator) / t.denominator - u * g
+            rt.append(int(mp.nint(s_int * (v - mp.floor(v)))))
+    b_int = int(mp.mpf(s_int) * (tg.tolerance / 3.0))
     best = None
-    for row in _lll(rows):
+    for row in _lll([*prefix, rt + [0, b_int]], bits):
         if abs(row[-1]) != b_int:
             continue
         if row[-1] == b_int:  # negate so the row is (combo) - r_t
             row = [-v for v in row]
         kaw = row[-2]
-        if kaw % a_w != 0:
+        if kaw % _A_W != 0:
             continue
-        k = kaw // a_w
+        k = kaw // _A_W
         if k == 0:
             continue
         cand = _tau_from_k(k, u2, dps_work)
@@ -206,23 +257,23 @@ def find_tau(tg: AngleTargets) -> TauCertificate:
         if cert.success:
             return cert
     if best is None:
-        bits = max(abs(v) for row in rows for v in row).bit_length()
-        raise LatticeSearchError("lattice reduction produced no candidate tau", N + 2, bits)
+        raise LatticeSearchError("lattice reduction produced no candidate tau", len(rt) + 2, bits)
     return best
 
 
-def _lll(rows: list) -> list:
+def _lll(rows: list, bits: int) -> list:
     """LLL-reduce the integer rows (delta = 0.99), after Schnorr and Euchner.
 
     The basis stays in exact ints.  Row k's Gram-Schmidt coefficients are
     recomputed in float64 on every visit, so nothing is carried across a
     swap; after a size reduction by a coefficient above 2^26 they are
-    recomputed before the Lovasz test.  The float rows are scaled by a power
-    of two so that squared norms stay inside the float range.
+    recomputed before the Lovasz test.  The float rows are divided by
+    2^(bits - 500) when ``bits`` passes 500, so that squared norms stay
+    inside the float range; ``bits`` is the bit size of the unreduced
+    lattice.
     """
     b = [list(row) for row in rows]
     m = len(b)
-    bits = max(abs(v) for row in b for v in row).bit_length()
     scale = 1 << max(0, bits - 500)
     bf = [[v / scale for v in row] for row in b]
     mu = [[0.0] * m for _ in range(m)]
@@ -253,7 +304,7 @@ def _lll(rows: list) -> list:
         if k and ck < (_DELTA - muk[k - 1] ** 2) * c[k - 1]:
             swaps += 1
             if swaps > _MAX_SWAPS:
-                raise LatticeSearchError(f"reduction passed {_MAX_SWAPS} swaps", m, bits)
+                raise LatticeSearchError(f"reduction passed {_MAX_SWAPS} swaps", len(b[0]), bits)
             b[k - 1], b[k] = b[k], b[k - 1]
             bf[k - 1], bf[k] = bf[k], bf[k - 1]
             k -= 1

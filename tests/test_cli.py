@@ -85,6 +85,21 @@ def test_cli_tau_zero_tolerance_rejected():
         cli.main(_TAU + ["--tol", "0"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["zeros", "--rect", "1,2,3"], "expected s1,s2,t1,t2"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e6"], "expected t1:t2:N"),
+    (["scan", "--q", "5", "--chi", "9", "--grid", "1e3:1e4:4"], "label 0..3 mod 5"),
+    (["scan", "--q", "5", "--chi", "0", "--grid", "1e3:1e4:4"], "non-principal"),
+], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal"])
+def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lcrit ")
+    assert message in err
+
+
 def test_import_leaves_sympy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

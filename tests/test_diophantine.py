@@ -9,6 +9,14 @@ from lcrit import diophantine as dio
 from lcrit.characters import enumerate_characters
 
 
+@pytest.fixture(autouse=True)
+def _cold_prefix_cache():
+    # a monkeypatched _lll or swap cap must neither read nor leave a cached prefix
+    dio._reduced_prefix.cache_clear()
+    yield
+    dio._reduced_prefix.cache_clear()
+
+
 def test_angle_targets_validation():
     with pytest.raises(ValueError):
         dio.AngleTargets((2, 3), (Fraction(0), Fraction(0)), 0.6)
@@ -85,14 +93,17 @@ def _small_targets():
 def test_find_tau_without_candidate_raises_typed_error(monkeypatch):
     # the unreduced basis has no row carrying both the target and a k != 0
     calls = []
-    monkeypatch.setattr(dio, "_lll", lambda rows: calls.append(rows) or rows)
-    with pytest.raises(dio.LatticeSearchError) as info:
-        dio.find_tau(_small_targets())
-    err = info.value
-    assert isinstance(err, RuntimeError)
-    assert err.dim == 6
-    assert err.bits > 0
-    assert len(calls) == 1  # one reduction per search, no escalation
+    monkeypatch.setattr(dio, "_lll", lambda rows, bits: calls.append(len(rows)) or rows)
+    for _ in range(2):
+        with pytest.raises(dio.LatticeSearchError) as info:
+            dio.find_tau(_small_targets())
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert err.dim == 6
+        assert err.bits > 0
+    # one prefix reduction for the primes and tolerance, then one embedding
+    # per search: the repeat search does not reduce the prefix again
+    assert calls == [5, 6, 6]
 
 
 def test_reduction_past_swap_cap_raises_typed_error(monkeypatch):
@@ -158,9 +169,9 @@ def _random_lattice(rng, n):
     return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
 
 
-def _kannan_lattice(rng, n):
+def _kannan_lattice(rng, n, s=None):
     """find_tau's shape: n - 2 scaled reals, a unit column and a target row."""
-    s = 1 << rng.randint(40, 148)
+    s = s or 1 << rng.randint(40, 148)
     reals = [rng.randrange(s) for _ in range(n - 2)]
     target = [rng.randrange(s) for _ in range(n - 2)]
     rows = [reals + [1000, 0]]
@@ -175,7 +186,7 @@ def _kannan_lattice(rng, n):
 def test_lll_against_exact_oracle(shape, n):
     rng = random.Random(1000 * n + (shape is _kannan_lattice))
     basis = shape(rng, n)
-    reduced = dio._lll(basis)
+    reduced = dio._lll(basis, dio._bits(basis))
     # the same lattice: an integral change of basis with determinant +-1
     t, det = _transform_and_det(basis, reduced)
     assert all(v.denominator == 1 for row in t for v in row)
@@ -184,3 +195,38 @@ def test_lll_against_exact_oracle(shape, n):
     assert all(abs(mu[i][j]) <= 0.5 + 1e-9 for i in range(n) for j in range(i))
     delta = Fraction(99, 100)
     assert all(c[k] >= (delta - mu[k][k - 1] ** 2) * c[k - 1] for k in range(1, n))
+
+
+def _wide_kannan_lattice(rng, n):
+    """_kannan_lattice with 520-bit entries, so that _lll scales its floats."""
+    return _kannan_lattice(rng, n, s=1 << 520)
+
+
+@pytest.mark.parametrize("shape, n", [(_random_lattice, n) for n in range(2, 13)]
+                         + [(_kannan_lattice, n) for n in range(3, 13)]
+                         + [(_wide_kannan_lattice, 8)])
+def test_split_reduction_equals_whole(shape, n):
+    # find_tau reduces the prefix once and embeds the last row against it;
+    # with the whole lattice's scale that gives the whole reduction row for row
+    rng = random.Random(1000 * n + (shape is _kannan_lattice))
+    basis = shape(rng, n)
+    bits = dio._bits(basis)
+    if shape is _wide_kannan_lattice:
+        assert bits > 500
+    split = dio._lll(dio._lll(basis[:-1], bits) + [basis[-1]], bits)
+    assert split == dio._lll(basis, bits)
+
+
+def test_find_tau_same_certificate_on_warm_prefix(tbl):
+    # perfbench's tau_chain case q = 7, scheme B, x = 70, tolerance 0.02; the
+    # pinned k and max_defect are those of the whole-lattice reduction
+    scheme = aux.make_scheme("B", enumerate_characters(7)[1], 70.0, tbl)
+    tg0 = dio.targets_from_scheme(scheme, tbl)
+    tg = dio.AngleTargets(tg0.primes, tg0.targets, 0.02)
+    cold = dio.find_tau(tg)
+    warm = dio.find_tau(tg)
+    assert dio._reduced_prefix.cache_info().hits == 1
+    for cert in (cold, warm):
+        assert cert.k == -4292017269430676462305162818281257821
+        assert cert.max_defect == 0.004742303916413649
+    assert warm.tau_str == cold.tau_str

@@ -432,16 +432,3 @@ def root_in_inner_circle(scheme: WeightScheme) -> bool:
     rc = rouche_circles(scheme.params)
     return abs(closed_form_root(scheme) - rc.center) < rc.inner_radius
 
-
-def rouche_margin(scheme: WeightScheme, tbl: ps.PrimeTable, n: int = 32) -> float:
-    """min |aux_series| minus max |(-zeta'/zeta)(s) - aux_series(s)| over
-    boundary samples of the inner circle; positive certifies a zero of zeta'
-    inside the circle (numerically, not rigorously)."""
-    pts = inner_circle_points(scheme.params, n)
-    ws = [aux_series(s, scheme, tbl) for s in pts]
-    min_w = min(abs(w) for w in ws)
-    max_d = 0.0
-    for s, w in zip(pts, ws):
-        z, zp = lfengine.zeta_orders(s, 1)
-        max_d = max(max_d, abs(-zp.value / z.value - w))
-    return min_w - max_d

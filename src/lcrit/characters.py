@@ -46,9 +46,6 @@ class Character:
         """Exact angle of chi(n) in turns, or None if chi(n) = 0."""
         return self.angles[n % self.modulus]
 
-    def __call__(self, n: int) -> complex:
-        return chi_value(self, n)
-
     @property
     def is_principal(self) -> bool:
         return self.label == 0

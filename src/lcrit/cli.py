@@ -197,14 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if "chi" in vars(args):
-        chars = enumerate_characters(args.q)
-        if not 0 <= args.chi < len(chars):
-            ap.error(f"--chi must be a character label 0..{len(chars) - 1} mod {args.q}")
-        args.chr = chars[args.chi]
-        if args.command == "scan" and args.chr.is_principal:
-            ap.error("scan needs a non-principal character; --chi 0 is principal")
-    return args.fn(args)
+    # the library rejects input outside its domain with ValueError: a usage error here
+    try:
+        if "chi" in vars(args):
+            chars = enumerate_characters(args.q)
+            if not 0 <= args.chi < len(chars):
+                ap.error(f"--chi must be a character label 0..{len(chars) - 1} mod {args.q}")
+            args.chr = chars[args.chi]
+        return args.fn(args)
+    except ValueError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

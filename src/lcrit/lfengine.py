@@ -264,21 +264,23 @@ def log_l(s: complex, chr: Character) -> ComplexEval:
 # Truncated prime-sum approximations
 
 
-def log_l_truncated(s: complex, chr: Character, T: float, tbl) -> complex:
-    """sum_{1<n<=log^2 T} chi(n) Lambda(n) / (n^s log n)  (T >= 4)."""
+def log_l_truncated(s: complex, chr: Character, x: float, tbl) -> complex:
+    """sum_{1<n<=x} chi(n) Lambda(n) / (n^s log n) on Re s >= 1 (x >= 2)."""
     _check_char(chr)
-    if T < 4:
-        raise ValueError("need T >= 4 so that log^2 T >= 2")
-    x = math.log(T) ** 2
+    if s.real < 1:
+        raise ValueError("need Re s >= 1")
+    if x < 2:
+        raise ValueError("need cutoff x >= 2")
     w = ps.weights_for_character(chr, tbl.primes_upto(x))
     return ps.lambda_weighted_sum(s, x, w, tbl, over_log=True)
 
 
 def log_l_defect(s: complex, chr: Character, T: float, tbl) -> float:
-    """|log L(s) - truncated prime sum| with the branch-tracked log."""
-    exact = log_l(s, chr).value
-    approx = log_l_truncated(s, chr, T, tbl)
-    return abs(exact - approx)
+    """|log L(s) - truncated prime sum at cutoff log^2 T| with the
+    branch-tracked log (T > 1)."""
+    if T <= 1:
+        raise ValueError("need T > 1")
+    return abs(log_l(s, chr).value - log_l_truncated(s, chr, math.log(T) ** 2, tbl))
 
 
 # ---------------------------------------------------------------------------

@@ -132,35 +132,16 @@ def thm1_rhs(x: float, q: int) -> float:
 _ALLOWANCE_SAFETY = 2.0  # a fitted allowance K is twice the worst defect
 
 
+def _fit_allowance(t_small: tuple, defect: Callable[[float], float]) -> float:
+    """K = 2 max |defect(x)| log x over x = log^2 t at the given heights."""
+    return _ALLOWANCE_SAFETY * max(
+        abs(defect(x)) * math.log(x) for x in (math.log(t) ** 2 for t in t_small))
+
+
 def fit_thm1_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable) -> float:
-    """K from the majorant defect at the two smallest heights, frozen:
-    K = 2 max |A(log^2 t) - rhs| * log log^2 t."""
-    ks = []
-    for t in t_small:
-        x = math.log(t) ** 2
-        d = coprime_majorant(x, q, tbl) - thm1_rhs(x, q)
-        ks.append(abs(d) * math.log(x))
-    return _ALLOWANCE_SAFETY * max(ks)
-
-
-def check_thm1_inequality(s: complex, chr: Character, T: float,
-                          tbl: ps.PrimeTable, allowance_k: float) -> DefectReport:
-    """Upper-bound chain: Re(truncated log L at cutoff log^2 T) against
-    log log log^2 T + C0 + log(phi(q)/q), with allowance K/log x."""
-    if s.real < 1:
-        raise ValueError("need Re s >= 1")
-    if T < 4:
-        raise ValueError("need T >= 4")
-    x = math.log(T) ** 2
-    lhs = lfengine.log_l_truncated(s, chr, T, tbl).real
-    rhs = thm1_rhs(x, chr.modulus)
-    allowance = allowance_k / math.log(x)
-    margin = rhs - lhs
-    return DefectReport(
-        q=chr.modulus, char_label=chr.label, s=complex(s), x=x,
-        lhs=lhs, rhs=rhs, allowance=allowance, margin=margin,
-        violation=margin < -allowance,
-    )
+    """K from the majorant defect A(log^2 t) - rhs at the two smallest
+    heights, frozen."""
+    return _fit_allowance(t_small, lambda x: coprime_majorant(x, q, tbl) - thm1_rhs(x, q))
 
 
 def thm3_rhs(x: float, q: int) -> float:
@@ -182,25 +163,18 @@ def coprime_minorant(x: float, q: int, tbl: ps.PrimeTable) -> float:
 
 
 def fit_thm3_allowance(q: int, t_small: tuple, tbl: ps.PrimeTable) -> float:
-    ks = []
-    for t in t_small:
-        x = math.log(t) ** 2
-        d = thm3_rhs(x, q) - coprime_minorant(x, q, tbl)
-        ks.append(abs(d) * math.log(x))
-    return _ALLOWANCE_SAFETY * max(ks)
+    """K from the minorant defect rhs - minorant(log^2 t) at the two
+    smallest heights, frozen."""
+    return _fit_allowance(t_small, lambda x: thm3_rhs(x, q) - coprime_minorant(x, q, tbl))
 
 
-def check_thm3_inequality(s: complex, chr: Character, x: float,
-                          tbl: ps.PrimeTable, allowance_k: float) -> DefectReport:
-    """Lower-bound chain: Re(truncated log L at cutoff x) against
-    -log log x - C0 + log(pi^2/6) + sum_{p|q} log((p+1)/p) - K/log x."""
-    if s.real < 1:
-        raise ValueError("need Re s >= 1")
-    w = ps.weights_for_character(chr, tbl.primes_upto(x))
-    lhs = ps.lambda_weighted_sum(s, x, w, tbl, over_log=True).real
-    rhs = thm3_rhs(x, chr.modulus)
+def _defect_report(theorem: int, s: complex, chr: Character, x: float,
+                   lhs: float, allowance_k: float) -> DefectReport:
+    """The theorem-1 (upper) or theorem-3 (lower) verdict on
+    lhs = Re(truncated log L at cutoff x), with allowance K/log x."""
+    rhs = (thm1_rhs if theorem == 1 else thm3_rhs)(x, chr.modulus)
+    margin = rhs - lhs if theorem == 1 else lhs - rhs
     allowance = allowance_k / math.log(x)
-    margin = lhs - rhs
     return DefectReport(
         q=chr.modulus, char_label=chr.label, s=complex(s), x=x,
         lhs=lhs, rhs=rhs, allowance=allowance, margin=margin,
@@ -208,11 +182,32 @@ def check_thm3_inequality(s: complex, chr: Character, x: float,
     )
 
 
+def check_thm1_inequality(s: complex, chr: Character, T: float,
+                          tbl: ps.PrimeTable, allowance_k: float) -> DefectReport:
+    """Upper-bound chain at height T > 1: Re(truncated log L at cutoff
+    x = log^2 T) against log log x + C0 + log(phi(q)/q), with allowance
+    K/log x."""
+    if T <= 1:
+        raise ValueError("need T > 1")
+    x = math.log(T) ** 2
+    return _defect_report(1, s, chr, x, lfengine.log_l_truncated(s, chr, x, tbl).real,
+                          allowance_k)
+
+
+def check_thm3_inequality(s: complex, chr: Character, x: float,
+                          tbl: ps.PrimeTable, allowance_k: float) -> DefectReport:
+    """Lower-bound chain: Re(truncated log L at cutoff x) against
+    -log log x - C0 + log(pi^2/6) + sum_{p|q} log((p+1)/p) - K/log x."""
+    return _defect_report(3, s, chr, x, lfengine.log_l_truncated(s, chr, x, tbl).real,
+                          allowance_k)
+
+
 def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 1e6,
                        n_t: int = 1000, *, tbl: ps.PrimeTable) -> dict:
     """The default grid: both inequality checks for every primitive
-    character of every q, at sigma = 1 and t log-spaced.  Returns a summary with
-    violation counts (expected zero) and the frozen allowances."""
+    character of every q, at sigma = 1 and t log-spaced, from one truncated
+    sum per (character, t).  Returns a summary with violation counts
+    (expected zero) and the frozen allowances."""
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), n_t))
     t_small = (float(ts[0]), float(ts[1]))
     out = {"grid": {"qs": list(qs), "t_lo": t_lo, "t_hi": t_hi, "n_t": n_t,
@@ -220,30 +215,27 @@ def sweep_inequalities(qs=(3, 4, 5, 7, 8, 11), t_lo: float = 1e3, t_hi: float = 
            "per_q": {}, "violations_thm1": 0, "violations_thm3": 0,
            "checked": 0}
     for q in qs:
-        k1 = fit_thm1_allowance(q, t_small, tbl)
-        k3 = fit_thm3_allowance(q, t_small, tbl)
-        worst1 = math.inf
-        worst3 = math.inf
-        v1 = v3 = 0
+        ks = {1: fit_thm1_allowance(q, t_small, tbl), 3: fit_thm3_allowance(q, t_small, tbl)}
+        worst = dict.fromkeys(ks, math.inf)
+        viol = dict.fromkeys(ks, 0)
         for chr in primitive_characters(q):
             if chr.is_principal:
                 continue
             for t in ts:
                 s = complex(1.0, float(t))
-                r1 = check_thm1_inequality(s, chr, float(t), tbl, k1)
                 x = math.log(float(t)) ** 2
-                r3 = check_thm3_inequality(s, chr, x, tbl, k3)
-                v1 += r1.violation
-                v3 += r3.violation
-                worst1 = min(worst1, r1.margin + r1.allowance)
-                worst3 = min(worst3, r3.margin + r3.allowance)
+                lhs = lfengine.log_l_truncated(s, chr, x, tbl).real
+                for theorem, k in ks.items():
+                    r = _defect_report(theorem, s, chr, x, lhs, k)
+                    viol[theorem] += r.violation
+                    worst[theorem] = min(worst[theorem], r.margin + r.allowance)
                 out["checked"] += 1
-        out["per_q"][q] = {"allowance_k_thm1": k1, "allowance_k_thm3": k3,
-                           "min_guarded_margin_thm1": worst1,
-                           "min_guarded_margin_thm3": worst3,
-                           "violations": v1 + v3}
-        out["violations_thm1"] += v1
-        out["violations_thm3"] += v3
+        out["per_q"][q] = {"allowance_k_thm1": ks[1], "allowance_k_thm3": ks[3],
+                           "min_guarded_margin_thm1": worst[1],
+                           "min_guarded_margin_thm3": worst[3],
+                           "violations": viol[1] + viol[3]}
+        out["violations_thm1"] += viol[1]
+        out["violations_thm3"] += viol[3]
     return out
 
 
@@ -413,9 +405,9 @@ class ScanReport:
 def scan(points, chr: Character) -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
-    The character must be non-principal and the points must have t > e
-    (so log log t > 0); an evaluator error is recorded as "Type: message"
-    and the scan continues.
+    The character must be non-principal and there must be at least one
+    point, each with t > e (so log log t > 0); an evaluator error is
+    recorded as "Type: message" and the scan continues.
     """
     if chr.is_principal:
         raise ValueError("scan requires a non-principal character")
@@ -442,4 +434,6 @@ def scan(points, chr: Character) -> ScanReport:
         rep.records.append(rec)
         rep.running_max_large.append(cur_max)
         rep.running_min_small.append(cur_min)
+    if not rep.records:
+        raise ValueError("scan needs at least one point")
     return rep

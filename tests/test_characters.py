@@ -145,7 +145,7 @@ def test_coeff_array_is_chi_value_exactly():
     for q in range(3, 61):
         for chr in enumerate_characters(q):
             arr = chr.coeff_array()
-            assert all(arr[n] == chr(n) for n in range(q))
+            assert all(arr[n] == chi_value(chr, n) for n in range(q))
             if chr.order <= 2:
                 assert not arr.imag.any()
 

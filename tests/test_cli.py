@@ -79,10 +79,12 @@ def test_cli_tau_has_no_window():
     assert info.value.code == 2
 
 
-def test_cli_tau_zero_tolerance_rejected():
+def test_cli_tau_zero_tolerance_rejected(capsys):
     # 0 is a tolerance like any other, outside (0, 1/2); omit --tol for 1/log^2 x
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as info:
         cli.main(_TAU + ["--tol", "0"])
+    assert info.value.code == 2
+    assert "tolerance must lie in (0, 1/2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -90,7 +92,22 @@ def test_cli_tau_zero_tolerance_rejected():
     (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e6"], "expected t1:t2:N"),
     (["scan", "--q", "5", "--chi", "9", "--grid", "1e3:1e4:4"], "label 0..3 mod 5"),
     (["scan", "--q", "5", "--chi", "0", "--grid", "1e3:1e4:4"], "non-principal"),
-], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal"])
+    # well-formed, but outside the library's domain
+    (["scan", "--q", "5", "--chi", "1", "--grid", "0:1e4:2"], "math domain error"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1:2:3"], "need t > e"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:0"], "at least one point"),
+    (["scan", "--q", "1", "--chi", "0", "--grid", "1e3:1e4:4"], "modulus must be >= 3"),
+    (["zeros", "--rect", "4,0.5,20,26"], "sigma_min < sigma_max"),
+    (["zeros", "--rect", "0.5,4,20,26", "--res", "0"], "grid_resolution must be positive"),
+    (["chars", "--q", "1"], "modulus must be >= 3"),
+    (["bounds", "--q", "2"], "q must be >= 3"),
+    (_TAU[:-1] + ["3"], "need x^eps > q"),
+    (["thm2", "--q", "7", "--chi", "1", "--delta", "0.3"], "delta must lie in (1/2, 1)"),
+    (_TAU + ["--tol", "0.7"], "tolerance must lie in (0, 1/2)"),
+], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
+        "scan-t-zero", "scan-t-below-e", "scan-no-points", "scan-q-one", "rect-reversed",
+        "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small", "thm2-delta",
+        "tau-tol-large"])
 def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

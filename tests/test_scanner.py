@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lcrit import lfengine as lf
+from lcrit import primesums as ps
 from lcrit import scanner as sc
 from lcrit.characters import enumerate_characters, euler_phi, ramified_product
 
@@ -62,11 +64,36 @@ def test_inequality_checks_hold_on_small_grid(tbl):
                 assert not r1.violation and not r3.violation
 
 
+@pytest.mark.parametrize("x", [1.0, 0.5])
+def test_truncated_log_l_needs_cutoff_two(x, tbl):
+    # the allowance K/log x and the bound's log log x need log x > 0
+    chr = enumerate_characters(5)[1]
+    with pytest.raises(ValueError, match="x >= 2"):
+        lf.log_l_truncated(1.0 + 50.0j, chr, x, tbl)
+    with pytest.raises(ValueError, match="x >= 2"):
+        sc.check_thm3_inequality(1.0 + 50.0j, chr, x, tbl, 1.0)
+
+
 def test_sweep_small(tbl):
     rep = sc.sweep_inequalities(qs=(3, 4), t_lo=1e3, t_hi=1e4, n_t=20, tbl=tbl)
     assert rep["violations_thm1"] == 0
     assert rep["violations_thm3"] == 0
     assert rep["checked"] > 0
+
+
+def test_sweep_takes_both_verdicts_from_one_sum_per_point(tbl, monkeypatch):
+    calls = []
+    real = ps.lambda_weighted_sum
+    monkeypatch.setattr(ps, "lambda_weighted_sum",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    rep = sc.sweep_inequalities(qs=(5,), n_t=4, tbl=tbl)
+    assert rep["checked"] == 12  # three non-principal characters mod 5, four heights
+    assert len(calls) == rep["checked"]
+
+
+def test_scan_requires_points():
+    with pytest.raises(ValueError, match="at least one point"):
+        sc.scan([], enumerate_characters(5)[1])
 
 
 def test_scan_requires_t_above_e(tbl):

@@ -246,9 +246,9 @@ def criterion_7():
     reval = dio.revalidate(cert)
     scheme = aux.make_scheme("B", chi, 200.0, tbl, delta=0.75)
     pts = aux.inner_circle_points(scheme.params, 64)
-    tau = cert.tau
+    phases = aux.shift_phases(cert.tau, 200.0, tbl)
     worst = max(
-        abs(aux.v_series_shifted(s, tau, 200.0, tbl) - aux.aux_series(s, scheme, tbl))
+        abs(aux.v_series_shifted(s, phases, 200.0, tbl) - aux.aux_series(s, scheme, tbl))
         for s in pts
     )
     ok = cert.success and cert.max_defect <= 0.02 and reval and worst <= 0.5

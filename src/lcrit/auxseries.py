@@ -236,38 +236,26 @@ def make_scheme(kind: str, chr: Character, x: float, tbl: ps.PrimeTable,
 # The series themselves
 
 
-def _shift_phases(tau, x: float, tbl: ps.PrimeTable) -> np.ndarray:
-    """exp(-i tau log n) per prime power n <= x, phases reduced mod 2 pi at
-    full precision."""
-    pp = tbl.prime_powers(x)
+def shift_phases(tau, x: float, tbl: ps.PrimeTable) -> np.ndarray:
+    """p^{-i tau} = exp(-i tau log p) per prime p <= x, in the order of
+    tbl.primes_upto(x), each phase reduced mod 2 pi at full precision.
+
+    n^{-i tau} is totally multiplicative, so these are prime weights:
+    ps.lift_weights gives the shift at every prime power.  One set serves
+    every cutoff up to x, so a caller computes it once per tau.
+    """
     tau_mp = mp.mpf(tau) if not isinstance(tau, mp.mpf) else tau
     digits = int(mp.floor(mp.log10(abs(tau_mp)))) + 1 if tau_mp != 0 else 1
     with mp.workdps(max(mp.mp.dps, digits + 25)):
         two_pi = 2 * mp.pi
-        # log p per prime once; log p^k = k log p keeps the mpmath work at
-        # one high-precision log per distinct prime
-        logs: dict[int, mp.mpf] = {}
-        phases = np.empty(len(pp.n), dtype=np.complex128)
-        for i in range(len(pp.n)):
-            p = int(pp.p[i])
-            if p not in logs:
-                logs[p] = mp.log(p)
-            ph = mp.fmod(-tau_mp * int(pp.k[i]) * logs[p], two_pi)
-            phases[i] = cmath.exp(1j * float(ph))
-    return phases
+        return np.array([cmath.exp(1j * float(mp.fmod(-tau_mp * mp.log(int(p)), two_pi)))
+                         for p in tbl.primes_upto(x)], dtype=np.complex128)
 
 
-def v_series_shifted(s: complex, tau, x: float, tbl: ps.PrimeTable,
-                     over_log: bool = False, chr: Character | None = None) -> complex:
-    """V_x(s + i tau) for tau far beyond double range (mpmath mpf).
-
-    The phase tau * log n is reduced mod 2 pi at full precision per prime
-    power, after which the sum runs in double precision.
-    """
-    weights = _shift_phases(tau, x, tbl)
-    if chr is not None:
-        weights = weights * ps.weights_for_character(chr, tbl.prime_powers(x).n)
-    return ps.power_weighted_sum(s, x, weights, tbl, over_log=over_log)
+def v_series_shifted(s: complex, phases: np.ndarray, x: float, tbl: ps.PrimeTable) -> complex:
+    """V_x(s + i tau) = sum_{n<=x} Lambda(n) / n^{s + i tau}, where
+    ``phases`` is shift_phases(tau, y, tbl) for some y >= x."""
+    return ps.lambda_weighted_sum(s, x, phases, tbl)
 
 
 def aux_series(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:

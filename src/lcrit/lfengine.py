@@ -264,14 +264,20 @@ def log_l(s: complex, chr: Character) -> ComplexEval:
 # Truncated prime-sum approximations
 
 
-def log_l_truncated(s: complex, chr: Character, x: float, tbl) -> complex:
-    """sum_{1<n<=x} chi(n) Lambda(n) / (n^s log n) on Re s >= 1 (x >= 2)."""
+def log_l_truncated(s: complex, chr: Character, x: float, tbl, phases=None) -> complex:
+    """sum_{1<n<=x} chi(n) Lambda(n) / (n^s log n) on Re s >= 1 (x >= 2).
+
+    With ``phases`` = auxseries.shift_phases(tau, y, tbl) for some y >= x,
+    the sum is taken at s + i tau instead: the shift is one more prime weight.
+    """
     _check_char(chr)
     if s.real < 1:
         raise ValueError("need Re s >= 1")
     if x < 2:
         raise ValueError("need cutoff x >= 2")
     w = ps.weights_for_character(chr, tbl.primes_upto(x))
+    if phases is not None:
+        w = w * phases[: len(w)]
     return ps.lambda_weighted_sum(s, x, w, tbl, over_log=True)
 
 

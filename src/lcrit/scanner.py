@@ -270,16 +270,6 @@ class ChainReport:
         return d
 
 
-def _log_l_at_tau(chr: Character, tau, x_scheme: float, tbl: ps.PrimeTable) -> complex:
-    """Truncated log L(1 + i tau, chi) via the prime sum with cutoff
-    max(x, log^2 |tau|) and exact phase reduction; a table shorter than the
-    cutoff raises ValueError."""
-    with mp.workdps(40):
-        at = abs(mp.mpf(tau))
-        cut = float(mp.log(at)) ** 2 if at > 3 else x_scheme
-    return aux.v_series_shifted(1.0 + 0j, tau, max(x_scheme, cut), tbl, over_log=True, chr=chr)
-
-
 class _Chain(NamedTuple):
     """What separates the theorem-2 and theorem-4 pipelines; the target
     kind also fixes S and m (see aux.make_scheme)."""
@@ -306,16 +296,25 @@ def _check_chain(theorem: int, chr: Character, x: float, delta: float,
     spec = _CHAINS[theorem]
     scheme = aux.make_scheme(spec.target_kind, chr, x, tbl, delta=delta)
     params = scheme.params
+    tg = dio.targets_from_scheme(scheme, tbl, tolerance)
     if cert is None:
-        cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, tolerance))
+        cert = dio.find_tau(tg)
+    elif (cert.primes, cert.targets, cert.tolerance) != (tg.primes, tg.targets, tg.tolerance):
+        raise ValueError("tau certificate was made for other angle targets or tolerance")
     if not cert.success:
         raise RuntimeError("tau certificate does not meet its tolerance")
     tau = cert.tau
+    # |L(1 + i tau)| takes the cutoff max(x, log^2 |tau|); one phase set serves
+    # it and the transfer sum, and a table shorter than the cutoff raises
+    with mp.workdps(40):
+        at = abs(mp.mpf(tau))
+        cut = max(x, float(mp.log(at)) ** 2) if at > 3 else x
+    phases = aux.shift_phases(tau, cut, tbl)
     # transfer: sum Lambda chi /(n^{1+i tau} log n) vs M_x(1) + log of the transfer term
-    lhs = aux.v_series_shifted(1.0 + 0j, tau, x, tbl, over_log=True, chr=chr)
+    lhs = lfengine.log_l_truncated(1.0 + 0j, chr, x, tbl, phases)
     mx1 = aux.aux_series(1.0 + 0j, aux.WeightScheme(spec.transfer_kind, params), tbl)
     transfer_defect = abs(lhs - mx1 - math.log(spec.transfer_term(chr.modulus)))
-    abs_l = math.exp(_log_l_at_tau(chr, tau, x, tbl).real)
+    abs_l = math.exp(lfengine.log_l_truncated(1.0 + 0j, chr, cut, tbl, phases).real)
     eps = params.epsilon
     reference = spec.reference(theorem_bounds(chr.modulus), eps, x)
     threshold = spec.factor * reference
@@ -336,10 +335,13 @@ def check_thm2_chain(chr: Character, x: float = 200.0, delta: float = 0.75, *,
                      cert: dio.TauCertificate | None = None) -> ChainReport:
     """Constructive lower-bound pipeline at toy scale.
 
-    Scheme B supplies the angle targets; find_tau makes the shift explicit;
-    the transfer identity is verified at s = 1 for scheme C; |L(1+i tau)| is
+    Scheme B supplies the angle targets; find_tau makes the shift explicit
+    (a given ``cert`` must be for those targets and ``tolerance``, else
+    ValueError); the
+    transfer identity is verified at s = 1 for scheme C; |L(1+i tau)| is
     the truncated prime-sum evaluation.  The floor is
-    0.5 * e^C0 (phi(q)/q) * eps log x.
+    0.5 * e^C0 (phi(q)/q) * eps log x.  The chain bounds |L(1 + i tau)|
+    only: it certifies nothing about a zero of zeta' near 1 + i tau.
     """
     return _check_chain(2, chr, x, delta, tbl, tolerance, cert)
 
@@ -348,7 +350,8 @@ def check_thm4_chain(chr: Character, x: float = 200.0, delta: float = 0.75, *,
                      tbl: ps.PrimeTable, tolerance: float = 0.02,
                      cert: dio.TauCertificate | None = None) -> ChainReport:
     """Mirror pipeline: scheme B' targets, scheme C' transfer, upper bound
-    |L(1+i tau)| <= 2 * (pi^2 e^-C0/6) prod (p+1)/p / (eps log x)."""
+    |L(1+i tau)| <= 2 * (pi^2 e^-C0/6) prod (p+1)/p / (eps log x).  Like
+    the theorem-2 chain, it says nothing about a zero of zeta' near 1 + i tau."""
     return _check_chain(4, chr, x, delta, tbl, tolerance, cert)
 
 

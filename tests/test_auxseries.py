@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit import auxseries as aux
+from lcrit import lfengine
 from lcrit import primesums as ps
 from lcrit.characters import enumerate_characters
 
@@ -212,11 +213,15 @@ def test_linear_form_min_on_inner_exceeds_eighth(scheme_b):
 
 def test_v_series_shift_at_tau_zero(chr5, tbl):
     s = 1.0 + 0j
-    plain = aux.v_series_shifted(s, 0, 1e4, tbl, over_log=True, chr=chr5)
+    phases = aux.shift_phases(0, 1e4, tbl)
+    assert np.all(phases == 1)
+    plain = lfengine.log_l_truncated(s, chr5, 1e4, tbl, phases)
     pp = tbl.prime_powers(1e4)
     chi = ps.weights_for_character(chr5, pp.n)
     direct = complex(np.sum(chi / pp.k * np.exp(-pp.logn)))
     assert abs(plain - direct) < 1e-10
+    assert abs(aux.v_series_shifted(s, phases, 1e4, tbl)
+               - np.sum(pp.logp * np.exp(-pp.logn))) < 1e-10
 
 
 def test_v_series_shifted_tells_nearby_large_taus_apart(tbl_small):
@@ -227,10 +232,14 @@ def test_v_series_shifted_tells_nearby_large_taus_apart(tbl_small):
         tau1 = mp.mpf("1234567890123456789012345.5")
         tau2 = tau1 + 10**5
     assert mp.mpf(tau1) == mp.mpf(tau2)
-    v1 = aux.v_series_shifted(1.0 + 0j, tau1, 200.0, tbl_small)
-    v2 = aux.v_series_shifted(1.0 + 0j, tau2, 200.0, tbl_small)
+
+    def v(tau):
+        return aux.v_series_shifted(1.0 + 0j, aux.shift_phases(tau, 200.0, tbl_small),
+                                    200.0, tbl_small)
+
+    v1, v2 = v(tau1), v(tau2)
     assert abs(v1 - v2) > 0.1
-    assert aux.v_series_shifted(1.0 + 0j, tau2, 200.0, tbl_small) == v2
+    assert v(tau2) == v2
 
 
 def test_aux_series_conjugation(chr5, tbl):

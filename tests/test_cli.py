@@ -93,7 +93,8 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
     (["scan", "--q", "5", "--chi", "9", "--grid", "1e3:1e4:4"], "label 0..3 mod 5"),
     (["scan", "--q", "5", "--chi", "0", "--grid", "1e3:1e4:4"], "non-principal"),
     # well-formed, but outside the library's domain
-    (["scan", "--q", "5", "--chi", "1", "--grid", "0:1e4:2"], "math domain error"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "0:1e4:2"], "t > e (got --grid 0:10000:2)"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:-1:2"], "t > e (got --grid 1000:-1:2)"),
     (["scan", "--q", "5", "--chi", "1", "--grid", "1:2:3"], "need t > e"),
     (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:0"], "at least one point"),
     (["scan", "--q", "1", "--chi", "0", "--grid", "1e3:1e4:4"], "modulus must be >= 3"),
@@ -105,9 +106,9 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
     (["thm2", "--q", "7", "--chi", "1", "--delta", "0.3"], "delta must lie in (1/2, 1)"),
     (_TAU + ["--tol", "0.7"], "tolerance must lie in (0, 1/2)"),
 ], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
-        "scan-t-zero", "scan-t-below-e", "scan-no-points", "scan-q-one", "rect-reversed",
-        "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small", "thm2-delta",
-        "tau-tol-large"])
+        "scan-t-zero", "scan-t2-negative", "scan-t-below-e", "scan-no-points", "scan-q-one",
+        "rect-reversed", "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small",
+        "thm2-delta", "tau-tol-large"])
 def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

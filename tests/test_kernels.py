@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcrit
+import lcrit.critzeros
+import lcrit.diophantine
+import lcrit.scanner
 from lcrit import auxseries as aux
 from lcrit import kernels, lfengine
 from lcrit import primesums as ps
@@ -98,7 +102,8 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
     ones = np.ones(len(tbl.prime_powers(1e4).n), dtype=np.complex128)
     callers = [
         ("dirichlet_sum", lambda: ps.power_weighted_sum(2.0 + 0j, 1e4, ones, tbl)),
-        ("dirichlet_sum", lambda: aux.v_series_shifted(2.0 + 0j, 0, 1e4, tbl)),
+        ("dirichlet_sum", lambda: aux.v_series_shifted(2.0 + 0j, aux.shift_phases(0, 1e4, tbl),
+                                                        1e4, tbl)),
         ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
         ("hurwitz_main_sum", lambda: lfengine.zeta_orders(2.0 + 1j, 2)),
@@ -120,3 +125,22 @@ def test_perfbench_hooks_resolve(monkeypatch):
         assert tr.missing == []
     finally:
         tr.uninstall()
+
+
+@pytest.mark.parametrize("name", ["lscan", "zeros", "aux_roots", "tau_chain"])
+def test_perfbench_workload_runs(name, monkeypatch):
+    # operation 0 of each benchmark workload, run and checked as the worker
+    # does it: a changed signature a workload calls fails here, not as
+    # failed benchmark operations
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    with open(Path(worker.HERE) / "reference.json") as fh:
+        reference = json.load(fh)
+    seed = reference["lscan"]["seed"]  # the seed lscan's reference values were made at
+    wl = worker.WORKLOADS[name]
+    ctx = wl.setup(lcrit)[0]
+    op = wl.ops(seed)[0]
+    ref = worker._reference(name, seed, [op], reference)[0]
+    if wl.prepare is not None:
+        wl.prepare(lcrit, ctx)
+    assert wl.check(lcrit, ctx, op, wl.run(lcrit, ctx, op), ref) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,10 @@ from csv import DictReader
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 
+from lcrit import auxseries as aux
+from lcrit import diophantine as dio
 from lcrit import lfengine as lf
 from lcrit import primesums as ps
 from lcrit import scanner as sc
@@ -165,8 +169,60 @@ def test_chain_report_roundtrips_to_json(theorem, q, tbl):
 
 def test_log_l_at_tau_needs_a_table_to_its_cutoff(tbl_small):
     # log^2(1e60) ~ 19085 > 10**4: the sum may not silently stop at the table's end
-    with pytest.raises(ValueError):
-        sc._log_l_at_tau(enumerate_characters(5)[1], mp.mpf("1e60"), 50.0, tbl_small)
+    chr = enumerate_characters(5)[1]
+    scheme = aux.make_scheme("B", chr, 50.0, tbl_small)
+    cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl_small, 0.05))
+    with pytest.raises(ValueError, match="exceeds table limit"):
+        sc.check_thm2_chain(chr, x=50.0, tbl=tbl_small, tolerance=0.05,
+                            cert=dataclasses.replace(cert, tau_str="1e60"))
+
+
+# a certificate for chi mod 7 (label 1) at x = 70 once passed chi mod 8's
+# chain (the primes <= 70 agree, the angle targets do not) with a transfer
+# defect of 0.76, and one made at tolerance 0.3 (max defect 0.075) passed a
+# chain asked for 0.02
+@pytest.mark.parametrize("q,label,tolerance", [(8, 2, 0.02), (7, 1, 0.3)],
+                         ids=["other-character", "other-tolerance"])
+def test_chain_rejects_a_certificate_for_other_targets(q, label, tolerance, tbl):
+    scheme = aux.make_scheme("B", enumerate_characters(7)[1], 70.0, tbl)
+    cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, tolerance))
+    with pytest.raises(ValueError, match="other angle targets or tolerance"):
+        sc.check_thm2_chain(enumerate_characters(q)[label], x=70.0, tbl=tbl, cert=cert)
+
+
+def _mp_log_euler(cutoff, angle, tau) -> mp.mpc:
+    """sum over p^k <= cutoff of e^{2 pi i k angle(p)} p^{-k (1 + i tau)} / k,
+    term by term at the working precision."""
+    total = mp.mpc(0)
+    for p in sympy.primerange(2, int(cutoff) + 1):
+        a = angle(p)
+        if a is None:
+            continue
+        k, pk = 1, p
+        while pk <= cutoff:
+            turn = (k * a) % 1
+            total += (mp.expjpi(2 * mp.mpf(turn.numerator) / turn.denominator)
+                      * mp.expj(-tau * k * mp.log(p)) / (k * pk))
+            k, pk = k + 1, pk * p
+    return total
+
+
+def test_chain_matches_a_direct_mpmath_sum(tbl):
+    # |L(1 + i tau)| (cutoff max(x, log^2 |tau|)) and the transfer defect
+    # (cutoff x) against mpmath sums with exact angles and the full-precision tau
+    chr = enumerate_characters(7)[1]
+    x = 70.0
+    rep = sc.check_thm2_chain(chr, x=x, tbl=tbl)
+    c_scheme = aux.WeightScheme("C", aux.make_scheme("B", chr, x, tbl).params)
+    with mp.workdps(len(rep.tau_str) + 30):
+        tau = mp.mpf(rep.tau_str)
+        cut = max(x, mp.log(abs(tau)) ** 2)
+        abs_l = mp.exp(mp.re(_mp_log_euler(cut, chr.angle, tau)))
+        m_x = _mp_log_euler(x, c_scheme.prime_weight_angle, 0)  # M_x(1), scheme C
+        transfer = _mp_log_euler(x, chr.angle, tau) - m_x - mp.log(mp.mpf(6) / 7)  # phi(7)/7
+    assert cut > 7000
+    assert rep.abs_l == pytest.approx(float(abs_l), rel=1e-13)
+    assert rep.transfer_defect == pytest.approx(float(abs(transfer)), abs=1e-13)
 
 
 def test_thm2_chain_mod3_loose_tolerance(tbl):

@@ -71,8 +71,8 @@ def cmd_zeros(args):
 
 def cmd_scan(args):
     t1, t2, n = args.grid
-    if min(t1, t2) <= math.e:
-        raise ValueError(f"scan points need t > e (got --grid {t1:g}:{t2:g}:{n})")
+    if not all(math.e < t < math.inf for t in (t1, t2)):
+        raise ValueError(f"scan points need t > e (got --grid {t1:g}:{t2:g}:{n}) and finite t")
     ts = np.exp(np.linspace(math.log(t1), math.log(t2), n))
     points = [complex(args.sigma, float(t)) for t in ts]
     rep = sc.scan(points, args.chr)

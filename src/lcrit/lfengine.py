@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
@@ -49,89 +49,83 @@ def _cutoff(t: float) -> int:
     return max(EULER_MACLAURIN_CUTOFF, int(abs(t) / 3) + 20)
 
 
-def _hurwitz_reg(s: complex, a: float, deriv: int = 0) -> list[ComplexEval]:
-    """R(s, a) = zeta(s, a) - 1/(s-1) and its s-derivatives, orders 0..deriv.
+def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[list[ComplexEval]]:
+    """R(s, a) = zeta(s, a) - 1/(s-1) and its s-derivatives 0..deriv, for
+    each shift a in ``shifts``: one list per shift, indexed by order.
 
     Euler-Maclaurin with N main terms and M Bernoulli corrections:
 
       zeta(s,a) = sum_{n<N} (n+a)^{-s} + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
                   + sum_{k=1..M} B_{2k}/(2k)! * P_k(s) * (N+a)^{-(s+2k-1)}
 
-    with P_k(s) = s(s+1)...(s+2k-2).  The pole term (N+a)^{1-s}/(s-1) minus
-    1/(s-1) is expanded in a series in eps = 1 - s near s = 1 so that R and
-    its derivatives stay finite there.  One pass yields every order up to
-    deriv; the returned list is indexed by order.
+    with P_k(s) = s(s+1)...(s+2k-2).  N and B_{2k}/(2k)! * P_k^(d)(s) depend
+    on s only and are built once per call; each shift takes one exp,
+    (N+a)^{-s}, and sums the corrections by Horner's rule in w = (N+a)^{-2}.
+    The pole term (N+a)^{1-s}/(s-1) minus 1/(s-1) is expanded in a series in
+    eps = 1 - s near s = 1 so that R and its derivatives stay finite there.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1, or 2")
     s = complex(s)
     N = _cutoff(s.imag)
-    M = BERNOULLI_TERMS
-
-    main = kernels.hurwitz_main_sum(float(a), N, s, deriv)
-
-    u = math.log(N + a)
-    base = cmath.exp(-s * u)  # (N+a)^{-s}
-
-    # regularized pole part: (N+a)^{1-s}/(s-1) - 1/(s-1)
-    eps = 1.0 - s
-    if abs(eps) < 0.25:
-        # series in eps: R1 = -sum_{j>=1} eps^{j-1} u^j / j!; step m adds the
-        # eps^m terms of R1, R1' and R1'' (no dividing by eps)
-        r1 = [0j, 0j, 0j]
-        epspow = 1.0 + 0j  # eps^m
-        f1, f2, f3 = u, u * u / 2.0, u**3 / 6.0  # u^j / j! for j = m+1, m+2, m+3
-        for m in range(200):
-            terms = (-epspow * f1, (m + 1) * epspow * f2, -(m + 1) * (m + 2) * epspow * f3)
-            r1 = [r + x for r, x in zip(r1, terms)]
-            if m > 2 and max(map(abs, terms)) < 1e-30:
-                break
-            epspow *= eps
-            f1, f2, f3 = f2, f3, f3 * (u / (m + 4))
-    else:
-        sm1 = s - 1.0
-        term1 = cmath.exp(-sm1 * u) / sm1  # (N+a)^{1-s}/(s-1)
-        g = -u - 1.0 / sm1
-        r1 = [term1 - 1.0 / sm1, term1 * g + 1.0 / sm1**2,
-              term1 * (g * g + 1.0 / sm1**2) - 2.0 / sm1**3]
-
-    # Bernoulli corrections.  P, dP, ddP are P_k(s) and its first two
-    # s-derivatives, extended by the rising-factorial recurrence
-    # P_k = P_{k-1} (s+2k-3)(s+2k-2) and the product rule, so no step divides
-    # by s+j (s = 0, -1, ... are ordinary points);
-    # S_d = sum_k B_2k/(2k)! (N+a)^{-(s+2k-1)} P_k^(d).
+    # B_2k/(2k)! (P_k, P_k', P_k'') for k = M..1, by the rising-factorial
+    # recurrence P_k = P_{k-1} q with q = (s+2k-3)(s+2k-2) and the product
+    # rule, so no step divides by s+j (s = 0, -1, ... are ordinary points)
     P, dP, ddP = s, 1.0 + 0j, 0j  # P_1(s) = s
-    S0 = S1 = S2 = 0j
-    for k in range(1, M + 1):
-        if k > 1:
-            for sj in (s + (2 * k - 3), s + (2 * k - 2)):
-                ddP = ddP * sj + 2.0 * dP
-                dP = dP * sj + P
-                P *= sj
-        e = cmath.exp(-(s + 2 * k - 1) * u)  # (N+a)^{-(s+2k-1)}
-        be = _BK[k] * e
-        S0 += be * P
-        S1 += be * dP
-        S2 += be * ddP
-    last = abs(_BK[M] * P * e)
-    # d/ds of (N+a)^{-(s+2k-1)} brings down -u
-    tail = (S0, S1 - u * S0, S2 - 2.0 * u * S1 + u * u * S0)
-
-    # half term (N+a)^{-s}/2 and its derivatives
-    half = 0.5 * base
-    halves = (half, -u * half, u * u * half)
+    c0, c1, c2 = [_BK[1] * P], [_BK[1] * dP], [0j]
+    for k in range(2, BERNOULLI_TERMS + 1):
+        q, dq = (s + (2 * k - 3)) * (s + (2 * k - 2)), 2.0 * s + (4 * k - 5)
+        ddP = ddP * q + 2.0 * (dP * dq + P)
+        dP = dP * q + P * dq
+        P *= q
+        c0.append(_BK[k] * P)
+        c1.append(_BK[k] * dP)
+        c2.append(_BK[k] * ddP)
+    cols = [c[::-1] for c in (c0, c1, c2)[: deriv + 1]]
+    eps = 1.0 - s
     out = []
-    for d in range(deriv + 1):
-        err = 2.0 * last + 1e-15 * (abs(main[d]) + abs(r1[0]) + N * 1e-16)
-        out.append(ComplexEval(main[d] + r1[d] + halves[d] + tail[d], err * (u + 1) ** d))
+    for a in shifts:
+        main = kernels.hurwitz_main_sum(float(a), N, s, deriv)
+        u = math.log(N + a)
+        base = cmath.exp(-s * u)  # (N+a)^{-s}
+        # regularized pole part: (N+a)^{1-s}/(s-1) - 1/(s-1)
+        if abs(eps) < 0.25:
+            # series in eps: R1 = -sum_{j>=1} eps^{j-1} u^j / j!; step m adds
+            # the eps^m terms of R1, R1' and R1'' (no dividing by eps)
+            r1 = [0j, 0j, 0j]
+            epspow = 1.0 + 0j  # eps^m
+            f1, f2, f3 = u, u * u / 2.0, u**3 / 6.0  # u^j / j! for j = m+1, m+2, m+3
+            for m in range(200):
+                terms = (-epspow * f1, (m + 1) * epspow * f2, -(m + 1) * (m + 2) * epspow * f3)
+                r1 = [r + x for r, x in zip(r1, terms)]
+                if m > 2 and max(map(abs, terms)) < 1e-30:
+                    break
+                epspow *= eps
+                f1, f2, f3 = f2, f3, f3 * (u / (m + 4))
+        else:
+            sm1 = s - 1.0
+            term1 = (N + a) * base / sm1  # (N+a)^{1-s}/(s-1)
+            g = -u - 1.0 / sm1
+            r1 = [term1 - 1.0 / sm1, term1 * g + 1.0 / sm1**2,
+                  term1 * (g * g + 1.0 / sm1**2) - 2.0 / sm1**3]
+        # S_d = sum_k B_2k/(2k)! P_k^(d) (N+a)^{-(s+2k-1)}: (N+a)^{-(s+1)} times
+        # a Horner sum in w = (N+a)^{-2}
+        w, scale, S = (N + a) ** -2.0, base / (N + a), [0j, 0j, 0j]
+        for d, col in enumerate(cols):
+            acc = 0j
+            for c in col:
+                acc = acc * w + c
+            S[d] = acc * scale
+        last = abs(cols[0][0] * scale) * w ** (BERNOULLI_TERMS - 1)
+        # d/ds of (N+a)^{-s} brings down -u
+        tail = (S[0], S[1] - u * S[0], S[2] - 2.0 * u * S[1] + u * u * S[0])
+        half = 0.5 * base  # the half term (N+a)^{-s}/2
+        halves = (half, -u * half, u * u * half)
+        out.append([ComplexEval(main[d] + r1[d] + halves[d] + tail[d],
+                                (2.0 * last + 1e-15 * (abs(main[d]) + abs(r1[0]) + N * 1e-16))
+                                * (u + 1) ** d)
+                    for d in range(deriv + 1)])
     return out
-
-
-def hurwitz_regularized(s: complex, a: float, deriv: int = 0) -> ComplexEval:
-    """Public wrapper for R(s, a) = zeta(s, a) - 1/(s-1), deriv in {0, 1, 2}."""
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
-    return _hurwitz_reg(s, a, deriv)[deriv]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +139,7 @@ def zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
     sm1 = s - 1.0
     pole = (1.0 / sm1, -1.0 / sm1**2, 2.0 / sm1**3)
     return [ComplexEval(r.value + p, r.error_radius)
-            for r, p in zip(_hurwitz_reg(s, 1.0, deriv), pole)]
+            for r, p in zip(_hurwitz_reg(s, (1.0,), deriv)[0], pole)]
 
 
 def zeta(s: complex) -> ComplexEval:
@@ -170,37 +164,30 @@ def _check_char(chr: Character) -> None:
 
 
 def _l_orders(s: complex, chr: Character, deriv: int) -> list[ComplexEval]:
-    """L^(d)(s, chi) for d = 0..deriv, one Hurwitz pass per residue.
+    """L^(d)(s, chi) for d = 0..deriv (0 or 1), from one Hurwitz call.
 
     L = q^{-s} T with T = sum_a chi(a) R(s, a/q); the product rule gives
-    L' = q^{-s} (T' - T log q) and L'' = q^{-s} (T'' - 2 T' log q + T log^2 q).
+    L' = q^{-s} (T' - T log q).
     """
     _check_char(chr)
+    if deriv not in (0, 1):
+        raise ValueError("deriv must be 0 or 1")
     q = chr.modulus
     coeff = chr.coeff_array()
-    tot = [0j] * (deriv + 1)
-    err = [0.0] * (deriv + 1)
-    for a in range(1, q + 1):
-        c = coeff[a % q]
-        if c == 0:
-            continue
-        for d, r in enumerate(_hurwitz_reg(s, a / q, deriv)):
-            tot[d] += c * r.value
-            err[d] += abs(c) * r.error_radius
+    cs, shifts = zip(*[(coeff[a % q], a / q) for a in range(1, q + 1) if coeff[a % q] != 0])
+    hs = _hurwitz_reg(s, shifts, deriv)
+    tot = [sum(c * h[d].value for c, h in zip(cs, hs)) for d in range(deriv + 1)]
+    err = [sum(abs(c) * h[d].error_radius for c, h in zip(cs, hs)) for d in range(deriv + 1)]
     lq = math.log(q)
     qs = cmath.exp(-complex(s) * lq)
-    vals = [tot[0]]
-    if deriv >= 1:
-        vals.append(tot[1] - lq * tot[0])
-    if deriv >= 2:
-        vals.append(tot[2] - 2 * lq * tot[1] + lq * lq * tot[0])
-    # orders d >= 1 allow for rounding in their log^d q * T term
-    return [ComplexEval(qs * v, abs(qs) * (e + (lq**d * 1e-14 * abs(tot[0]) if d else 0.0)))
+    vals = [tot[0], tot[1] - lq * tot[0]] if deriv else tot
+    # L' allows for rounding in its log q * T term
+    return [ComplexEval(qs * v, abs(qs) * (e + (lq * 1e-14 * abs(tot[0]) if d else 0.0)))
             for d, (v, e) in enumerate(zip(vals, err))]
 
 
 def dirichlet_l(s: complex, chr: Character, deriv: int = 0) -> ComplexEval:
-    """L(s, chi), L'(s, chi), or L''(s, chi) for non-principal chi.
+    """L(s, chi) or L'(s, chi) for non-principal chi.
 
     Entire for non-principal chi, so s = 1 is an ordinary point: the Hurwitz
     pole terms cancel exactly since sum_a chi(a) = 0.

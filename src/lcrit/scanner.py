@@ -409,8 +409,9 @@ def scan(points, chr: Character) -> ScanReport:
     """Evaluate |L| at each point and track the normalized running extremes.
 
     The character must be non-principal and there must be at least one
-    point, each with t > e (so log log t > 0); an evaluator error is
-    recorded as "Type: message" and the scan continues.
+    point, each finite with t > e (so log log t > 0); an evaluator error or
+    a non-finite |L| is recorded as "Type: message", is kept out of the
+    running extremes, and the scan continues.
     """
     if chr.is_principal:
         raise ValueError("scan requires a non-principal character")
@@ -420,11 +421,15 @@ def scan(points, chr: Character) -> ScanReport:
     cur_min = math.inf
     for s in points:
         s = complex(s)
+        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+            raise ValueError(f"scan points need finite sigma and t (got {s})")
         if s.imag <= math.e:
             raise ValueError("scan points need t > e")
         llt = math.log(math.log(s.imag))
         try:
             val, error = abs(lfengine.dirichlet_l(s, chr).value), ""
+            if not math.isfinite(val):
+                raise OverflowError(f"|L| = {val} is not finite")
         except (lfengine.ZetaPoleError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:
             rep.errors += 1

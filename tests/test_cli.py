@@ -105,10 +105,18 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
     (_TAU[:-1] + ["3"], "need x^eps > q"),
     (["thm2", "--q", "7", "--chi", "1", "--delta", "0.3"], "delta must lie in (1/2, 1)"),
     (_TAU + ["--tol", "0.7"], "tolerance must lie in (0, 1/2)"),
+    # not finite: a nan fails every comparison, so each end is checked as e < t < inf
+    (["scan", "--q", "5", "--chi", "1", "--grid", "nan:1e4:3"], "t > e (got --grid nan:10000:3)"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:inf:3"], "t > e (got --grid 1000:inf:3)"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:3", "--sigma", "nan"],
+     "need finite sigma and t"),
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:3", "--sigma", "inf"],
+     "need finite sigma and t"),
 ], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
         "scan-t-zero", "scan-t2-negative", "scan-t-below-e", "scan-no-points", "scan-q-one",
         "rect-reversed", "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small",
-        "thm2-delta", "tau-tol-large"])
+        "thm2-delta", "tau-tol-large", "scan-t-nan", "scan-t-inf", "scan-sigma-nan",
+        "scan-sigma-inf"])
 def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

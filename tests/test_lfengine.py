@@ -75,7 +75,7 @@ _NEAR_ONE = st.builds(lambda r, th: 1 + cmath.rect(r, th),
 @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.generate))
 def test_hurwitz_regularized_within_error_radius(s, a, deriv):
     assume(abs(s - 1) >= 0.01)  # the mpmath reference subtracts the pole
-    ev = lf.hurwitz_regularized(s, a, deriv=deriv)
+    ev = lf._hurwitz_reg(s, [a], deriv)[0][deriv]
     with mp.workdps(40):
         err = float(abs(mp.mpc(ev.value.real, ev.value.imag) - _r_mp(s, a, deriv)))
     assert err <= ev.error_radius
@@ -99,16 +99,58 @@ def test_hurwitz_regularized_matches_mpmath():
     for s in (2.5 + 3.0j, 0.7 - 11.0j, 4.0 + 0j, 0.9 + 0.1j, 1.5 + 300.0j):
         for a in (0.2, 0.5, 0.9, 1.0):
             for d in range(3):
-                ev = lf.hurwitz_regularized(s, a, deriv=d)
+                ev = lf._hurwitz_reg(s, [a], d)[0][d]
                 ref = complex(_r_mp(s, a, d))
                 assert abs(ev.value - ref) <= ev.error_radius + 1e-11 * (1 + abs(ref))
 
 
 def test_hurwitz_regularized_finite_at_one():
     # the pole is subtracted: R(s, 1) -> -euler_gamma * (-1)... value at s = 1
-    ev = lf.hurwitz_regularized(1.0 + 0j, 1.0)
+    ev = lf._hurwitz_reg(1.0 + 0j, [1.0], 0)[0][0]
     # lim_{s->1} zeta(s) - 1/(s-1) = euler gamma
     assert ev.value == pytest.approx(0.5772156649015329, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [2.5 + 3.0j, 0.9 + 0.1j, 0.5 + 1e4j, 1.0 + 0j])
+def test_hurwitz_reg_batch_matches_single_shifts(s):
+    # 0.9+0.1j and 1 take the eps-series pole branch, the others the closed form
+    shifts = [1 / 7, 0.2, 0.5, 6 / 7, 1.0]
+    for d in range(3):
+        batch = lf._hurwitz_reg(s, shifts, d)
+        assert batch == [lf._hurwitz_reg(s, [a], d)[0] for a in shifts]
+        assert [len(orders) for orders in batch] == [d + 1] * len(shifts)
+
+
+def test_dirichlet_l_is_one_hurwitz_call(monkeypatch):
+    # the s-only Bernoulli factors are built once per evaluation; the main
+    # sum still runs once per residue prime to q
+    counts = dict.fromkeys(("reg", "main"), 0)
+    real_reg, real_main = lf._hurwitz_reg, lf.kernels.hurwitz_main_sum
+
+    def reg(*args):
+        counts["reg"] += 1
+        return real_reg(*args)
+
+    def main(*args):
+        counts["main"] += 1
+        return real_main(*args)
+
+    monkeypatch.setattr(lf, "_hurwitz_reg", reg)
+    monkeypatch.setattr(lf.kernels, "hurwitz_main_sum", main)
+    for q, phi in ((5, 4), (8, 4), (11, 10), (12, 4)):
+        chr = enumerate_characters(q)[1]
+        for deriv in (0, 1):
+            counts.update(reg=0, main=0)
+            lf.dirichlet_l(1.0 + 10.0j, chr, deriv=deriv)
+            assert counts == {"reg": 1, "main": phi}
+        counts.update(reg=0, main=0)
+        lf.l_log_derivative(1.0 + 0j, chr)
+        assert counts == {"reg": 1, "main": phi}
+
+
+def test_dirichlet_l_has_no_second_derivative():
+    with pytest.raises(ValueError, match="deriv must be 0 or 1"):
+        lf.dirichlet_l(1.0 + 10.0j, enumerate_characters(5)[1], deriv=2)
 
 
 @pytest.mark.parametrize("q,label", [(5, 1), (5, 2), (7, 3), (8, 2), (11, 4)])

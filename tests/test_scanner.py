@@ -106,6 +106,21 @@ def test_scan_requires_t_above_e(tbl):
         sc.scan([complex(1.0, 2.0)], chr)
 
 
+def test_scan_keeps_non_finite_l_out_of_the_extremes():
+    # far left of the critical strip |L| overflows: such a point is an error,
+    # not a record that the running extremes see
+    chr = enumerate_characters(5)[1]
+    with np.errstate(all="ignore"):
+        rep = sc.scan([complex(1.0, 1e3)] + [complex(-100.0, t) for t in (1e3, 3162.3, 1e4)], chr)
+    bad = [r for r in rep.records if not math.isfinite(r.abs_l)]
+    assert len(bad) == 3 and all(r.error for r in bad)
+    assert rep.errors == 3
+    assert rep.running_max_large == [rep.records[0].norm_large] * 4
+    assert rep.running_min_small == [rep.records[0].norm_small] * 4
+    with pytest.raises(ValueError, match="finite sigma and t"):
+        sc.scan([complex(math.nan, 1e3)], chr)
+
+
 def test_scan_rejects_principal_character():
     with pytest.raises(ValueError):
         sc.scan([1 + 50j], enumerate_characters(5)[0])

@@ -63,6 +63,8 @@ class SchemeParams:
     s_const: complex = 0j  # the S constant this scheme was built around
 
     def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"x must be finite (got {self.x})")
         if not 0.5 < self.delta < 1:
             raise ValueError("delta must lie in (1/2, 1)")
         if self.m <= 1:

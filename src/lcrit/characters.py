@@ -4,8 +4,9 @@ Characters are built from the dual group of (Z/qZ)* via CRT: each prime-power
 factor contributes a cyclic component (two for 2^e, e >= 3), and a character
 is a tuple of exponents against the component generators.  Values are stored
 as exact rational angles (fractions of a turn), so multiplicativity and
-orthogonality hold exactly; the complex value table is derived from them once
-per character.
+orthogonality hold exactly.  Everything else is read off the angles: the
+conductor and the complex value table once per character, the parity, the
+order and the conjugate on demand.
 """
 
 from __future__ import annotations
@@ -30,17 +31,29 @@ class Character:
     modulus: int
     label: int
     angles: tuple  # tuple[Fraction | None], length q, index = residue
-    is_primitive: bool
-    parity: int  # chi(-1), +1 or -1
-    conductor: int
-    order: int = field(default=1)
+    conductor: int = field(init=False)
     # chi(0..q-1) as complex128, built once; coeff_array() returns it
     _coeff: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "conductor", _conductor(self.modulus, self.angles))
         out = np.array([chi_value(self, n) for n in range(self.modulus)], dtype=np.complex128)
         out.flags.writeable = False
         object.__setattr__(self, "_coeff", out)
+
+    @property
+    def is_primitive(self) -> bool:
+        return self.conductor == self.modulus
+
+    @property
+    def parity(self) -> int:
+        """chi(-1), +1 or -1."""
+        return 1 if self.angles[-1] == 0 else -1
+
+    @property
+    def order(self) -> int:
+        """The least n with chi^n principal: the lcm of the angle denominators."""
+        return math.lcm(*(a.denominator for a in self.angles if a is not None))
 
     def angle(self, n: int) -> Fraction | None:
         """Exact angle of chi(n) in turns, or None if chi(n) = 0."""
@@ -51,11 +64,9 @@ class Character:
         return self.label == 0
 
     def conjugate(self) -> "Character":
-        """The conjugate character chi-bar: every exponent negated."""
-        _, orders, _ = _group_data(self.modulus)
-        exps = _exponents(self.label, orders)
-        conj = _label(tuple(-c % o for c, o in zip(exps, orders)), orders)
-        return enumerate_characters(self.modulus)[conj]
+        """The conjugate character chi-bar: every angle negated."""
+        angles = tuple(None if a is None else -a % 1 for a in self.angles)
+        return next(c for c in enumerate_characters(self.modulus) if c.angles == angles)
 
     def coeff_array(self) -> np.ndarray:
         """chi(0..q-1) as read-only complex128, for vectorized residue lookup."""
@@ -106,10 +117,7 @@ def _group_data(q: int):
     # enumerate the full group to build the discrete-log map
     dlog: dict[int, tuple[int, ...]] = {}
     exps = [0] * len(gens)
-    total = 1
-    for o in orders:
-        total *= o
-    for _ in range(total):
+    for _ in range(math.prod(orders)):
         r = 1
         for g, a in zip(gens, exps):
             r = r * pow(g, a, q) % q
@@ -130,14 +138,6 @@ def _exponents(label: int, orders: tuple[int, ...]) -> tuple[int, ...]:
         exps.append(label % o)
         label //= o
     return tuple(exps)
-
-
-def _label(exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    """Character label of an exponent tuple (inverse of _exponents)."""
-    label = 0
-    for c, o in zip(reversed(exps), reversed(orders)):
-        label = label * o + c
-    return label
 
 
 def _char_angles(q: int, char_exps: tuple[int, ...]) -> tuple:
@@ -172,32 +172,8 @@ def enumerate_characters(q: int) -> tuple[Character, ...]:
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     _, orders, _ = _group_data(q)
-    chars = []
-    n_chars = 1
-    for o in orders:
-        n_chars *= o
-    for label in range(n_chars):
-        exps = _exponents(label, orders)
-        angles = _char_angles(q, exps)
-        cond = _conductor(q, angles)
-        pa = angles[(q - 1) % q]
-        parity = 1 if pa == 0 else -1
-        order = 1  # lcm over components of o/gcd(c, o)
-        for c, o in zip(exps, orders):
-            oo = o // math.gcd(c, o)
-            order = order * oo // math.gcd(order, oo)
-        chars.append(
-            Character(
-                modulus=q,
-                label=label,
-                angles=angles,
-                is_primitive=(cond == q),
-                parity=parity,
-                conductor=cond,
-                order=order,
-            )
-        )
-    return tuple(chars)
+    return tuple(Character(q, label, _char_angles(q, _exponents(label, orders)))
+                 for label in range(math.prod(orders)))
 
 
 def primitive_characters(q: int) -> list[Character]:

@@ -84,10 +84,12 @@ def cmd_scan(args):
         f"max |L|/loglog t = {rep.max_norm_large:.6f} (thm1 bound {rep.bounds.thm1:.6f}); "
         f"min |L|·loglog t = {rep.min_norm_small:.6f} (thm3 bound {rep.bounds.thm3:.6f})"
     )
-    return 0
+    return 0 if rep.errors < len(rep.records) else 1
 
 
 def cmd_tau(args):
+    if not math.isfinite(args.x):
+        raise ValueError(f"x must be finite (got {args.x})")
     tbl = ps.sieve(max(SIEVE_LIMIT, int(args.x) + 1))
     scheme = aux.make_scheme("B", args.chr, args.x, tbl, delta=args.delta)
     cert = dio.find_tau(dio.targets_from_scheme(scheme, tbl, args.tol))

@@ -37,12 +37,14 @@ class SearchRect:
     grid_resolution: float = 0.25
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma_min, self.sigma_max, self.t_min, self.t_max))):
+            raise ValueError("the rectangle's bounds must be finite")
         if not self.sigma_min < self.sigma_max:
             raise ValueError("need sigma_min < sigma_max")
         if not self.t_min < self.t_max:
             raise ValueError("need t_min < t_max")
-        if self.grid_resolution <= 0:
-            raise ValueError("grid_resolution must be positive")
+        if not 0 < self.grid_resolution < math.inf:
+            raise ValueError("grid_resolution must be positive and finite")
 
     def contains(self, s: complex) -> bool:
         return (self.sigma_min <= s.real <= self.sigma_max
@@ -70,10 +72,13 @@ class CriticalPoint:
 
 
 class CriticalPointList(list):
-    """List of CriticalPoint with a completeness flag (count match)."""
+    """List of CriticalPoint and the argument-principle count it should match."""
 
-    complete: bool = True
     expected_count: int = 0
+
+    @property
+    def complete(self) -> bool:
+        return len(self) == self.expected_count
 
 
 def _pole_on_boundary(rect: SearchRect, eps: float = 1e-9) -> bool:
@@ -230,7 +235,6 @@ def find_critical_points(rect: SearchRect) -> CriticalPointList:
     found.sort(key=lambda c: (c.gamma_prime, c.beta_prime))
     out = CriticalPointList(found)
     out.expected_count = n_expected
-    out.complete = len(found) == n_expected
     return out
 
 

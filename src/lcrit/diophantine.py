@@ -78,19 +78,30 @@ class AngleTargets:
             raise ValueError("primes must be strictly increasing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TauCertificate:
-    """A verified tau: defects recomputed at full precision on construction."""
+    """A tau and its defects, recomputed at full precision by find_tau;
+    the largest defect, the weight defects and the verdict follow from them."""
 
     tau_str: str  # decimal string of tau (mpmath, full precision)
     k: int  # nonzero integer in tau = 2 pi (k + U_2)/log 2
     primes: tuple
     targets: tuple  # Fractions
     defects: tuple  # ||tau log p/2pi - U_p|| per prime, floats
-    max_defect: float
-    weight_defects: tuple  # |p^{-i tau} - e^{-2 pi i U_p}| = 2 sin(pi defect)
     tolerance: float
-    success: bool
+
+    @property
+    def max_defect(self) -> float:
+        return max(self.defects)
+
+    @property
+    def weight_defects(self) -> tuple:
+        """|p^{-i tau} - e^{-2 pi i U_p}| = 2 sin(pi defect) per prime."""
+        return tuple(2 * math.sin(math.pi * d) for d in self.defects)
+
+    @property
+    def success(self) -> bool:
+        return self.max_defect <= self.tolerance
 
     @property
     def tau(self) -> mp.mpf:
@@ -127,22 +138,8 @@ def targets_from_scheme(scheme, tbl, tolerance: float | None = None) -> AngleTar
 
 def _verify(tau_str: str, k: int, tg: AngleTargets) -> TauCertificate:
     dps = len(tau_str) + 30
-    defects = tuple(
-        kronecker_defect_str(tau_str, p, t, dps) for p, t in zip(tg.primes, tg.targets)
-    )
-    md = max(defects)
-    wd = tuple(2 * math.sin(math.pi * d) for d in defects)
-    return TauCertificate(
-        tau_str=tau_str,
-        k=k,
-        primes=tg.primes,
-        targets=tg.targets,
-        defects=defects,
-        max_defect=md,
-        weight_defects=wd,
-        tolerance=tg.tolerance,
-        success=md <= tg.tolerance,
-    )
+    defects = tuple(kronecker_defect_str(tau_str, p, t, dps) for p, t in zip(tg.primes, tg.targets))
+    return TauCertificate(tau_str, k, tg.primes, tg.targets, defects, tg.tolerance)
 
 
 def kronecker_defect_str(tau_str: str, p: int, target: Fraction, dps: int) -> float:
@@ -315,10 +312,7 @@ def _lll(rows: list, bits: int) -> list:
 
 def revalidate(cert: TauCertificate) -> bool:
     """Recompute every defect from tau_str; True iff they match the stored
-    values to 1e-12 and max_defect is consistent."""
+    values to 1e-12."""
     dps = len(cert.tau_str) + 30
-    for p, t, d in zip(cert.primes, cert.targets, cert.defects):
-        d2 = kronecker_defect_str(cert.tau_str, p, t, dps)
-        if abs(d2 - d) > 1e-12:
-            return False
-    return abs(max(cert.defects) - cert.max_defect) <= 1e-15
+    return all(abs(kronecker_defect_str(cert.tau_str, p, t, dps) - d) <= 1e-12
+               for p, t, d in zip(cert.primes, cert.targets, cert.defects))

@@ -69,32 +69,14 @@ def _build_prime_powers(tbl: PrimeTable, x: float) -> PrimePowers:
     if x > tbl.limit:
         raise ValueError(f"x={x} exceeds table limit {tbl.limit}")
     xi = int(np.floor(x))
-    parts_n, parts_p, parts_k, parts_idx = [], [], [], []
-    cut = int(np.searchsorted(tbl.primes, xi, side="right"))
-    p1 = tbl.primes[:cut]
-    parts_n.append(p1)
-    parts_p.append(p1)
-    parts_k.append(np.ones(len(p1), dtype=np.int64))
-    parts_idx.append(np.arange(len(p1), dtype=np.int64))
-    k = 2
-    while True:
-        bound = xi ** (1.0 / k)
-        cutk = int(np.searchsorted(tbl.primes, int(bound) + 1, side="right"))
-        pk_base = tbl.primes[:cutk]
-        vals = pk_base**k
-        keep = vals <= xi
-        pk_base, vals = pk_base[keep], vals[keep]
-        if len(pk_base) == 0:
-            break
-        parts_n.append(vals)
-        parts_p.append(pk_base)
-        parts_k.append(np.full(len(pk_base), k, dtype=np.int64))
-        parts_idx.append(np.arange(len(pk_base), dtype=np.int64))
-        k += 1
-    n = np.concatenate(parts_n)
-    p = np.concatenate(parts_p)
-    kk = np.concatenate(parts_k)
-    idx = np.concatenate(parts_idx)
+    parts = []  # (p^k, p, k, index of p) per k; 2^k <= x for each k past 1
+    for k in range(1, max(2, xi.bit_length())):
+        cut = int(np.searchsorted(tbl.primes, int(xi ** (1.0 / k)) + 1, side="right"))
+        vals = tbl.primes[:cut] ** k
+        m = int(np.searchsorted(vals, xi, side="right"))  # p^k grows with p
+        parts.append((vals[:m], tbl.primes[:m], np.full(m, k, dtype=np.int64),
+                      np.arange(m, dtype=np.int64)))
+    n, p, kk, idx = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(n, kind="stable")
     n, p, kk, idx = n[order], p[order], kk[order], idx[order]
     logp = np.log(p.astype(np.float64))

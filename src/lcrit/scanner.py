@@ -16,8 +16,9 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import mpmath as mp
@@ -368,23 +369,43 @@ class ScanRecord:
     error: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanReport:
+    """The records of one scan; every summary is read off them, and a record
+    with an error is kept out of the extremes."""
+
     q: int
     char_label: int
-    records: list = field(default_factory=list)
-    running_max_large: list = field(default_factory=list)
-    running_min_small: list = field(default_factory=list)
-    bounds: ExtremeBounds | None = None
-    errors: int = 0
+    bounds: ExtremeBounds
+    records: tuple  # tuple[ScanRecord], in scan order
+
+    @property
+    def errors(self) -> int:
+        return sum(1 for rec in self.records if rec.error)
+
+    @property
+    def running_max_large(self) -> list:
+        """max |L|/log log t over the records so far (-inf before the first
+        evaluated point)."""
+        return list(accumulate((-math.inf if rec.error else rec.norm_large
+                                for rec in self.records), max))
+
+    @property
+    def running_min_small(self) -> list:
+        """min |L|·log log t over the records so far (inf before the first
+        evaluated point)."""
+        return list(accumulate((math.inf if rec.error else rec.norm_small
+                                for rec in self.records), min))
 
     @property
     def max_norm_large(self) -> float:
-        return self.running_max_large[-1] if self.running_max_large else math.nan
+        """max |L|/log log t over the evaluated points, nan if there are none."""
+        return max((rec.norm_large for rec in self.records if not rec.error), default=math.nan)
 
     @property
     def min_norm_small(self) -> float:
-        return self.running_min_small[-1] if self.running_min_small else math.nan
+        """min |L|·log log t over the evaluated points, nan if there are none."""
+        return min((rec.norm_small for rec in self.records if not rec.error), default=math.nan)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -399,49 +420,40 @@ class ScanReport:
                 f"{rec.point.real:.17g}", f"{rec.point.imag:.17g}",
                 f"{rec.abs_l:.17g}", f"{rec.norm_large:.17g}",
                 f"{rec.norm_small:.17g}", f"{rml:.17g}", f"{rms:.17g}",
-                f"{b.thm1:.17g}" if b else "", f"{b.thm3:.17g}" if b else "",
-                "sigma_grid", rec.error,
+                f"{b.thm1:.17g}", f"{b.thm3:.17g}", "sigma_grid", rec.error,
             ])
         return buf.getvalue()
 
 
 def scan(points, chr: Character) -> ScanReport:
-    """Evaluate |L| at each point and track the normalized running extremes.
+    """Evaluate |L| at each point and report the normalized extremes.
 
     The character must be non-principal and there must be at least one
     point, each finite with t > e (so log log t > 0); an evaluator error or
     a non-finite |L| is recorded as "Type: message", is kept out of the
-    running extremes, and the scan continues.
+    running extremes, and the scan continues.  numpy's overflow and invalid
+    warnings are off: such a point is reported by its record.
     """
     if chr.is_principal:
         raise ValueError("scan requires a non-principal character")
-    rep = ScanReport(q=chr.modulus, char_label=chr.label,
-                     bounds=theorem_bounds(chr.modulus))
-    cur_max = -math.inf
-    cur_min = math.inf
-    for s in points:
-        s = complex(s)
-        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-            raise ValueError(f"scan points need finite sigma and t (got {s})")
-        if s.imag <= math.e:
-            raise ValueError("scan points need t > e")
-        llt = math.log(math.log(s.imag))
-        try:
-            val, error = abs(lfengine.dirichlet_l(s, chr).value), ""
-            if not math.isfinite(val):
-                raise OverflowError(f"|L| = {val} is not finite")
-        except (lfengine.ZetaPoleError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
-            rep.errors += 1
-            val, error = math.nan, f"{type(exc).__name__}: {exc}"
-        rec = ScanRecord(point=s, abs_l=val, norm_large=val / llt,
-                         norm_small=val * llt, error=error)
-        if not error:
-            cur_max = max(cur_max, rec.norm_large)
-            cur_min = min(cur_min, rec.norm_small)
-        rep.records.append(rec)
-        rep.running_max_large.append(cur_max)
-        rep.running_min_small.append(cur_min)
-    if not rep.records:
+    records = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in points:
+            s = complex(s)
+            if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+                raise ValueError(f"scan points need finite sigma and t (got {s})")
+            if s.imag <= math.e:
+                raise ValueError("scan points need t > e")
+            llt = math.log(math.log(s.imag))
+            try:
+                val, error = abs(lfengine.dirichlet_l(s, chr).value), ""
+                if not math.isfinite(val):
+                    raise OverflowError(f"|L| = {val} is not finite")
+            except (lfengine.ZetaPoleError, ValueError, ZeroDivisionError,
+                    OverflowError) as exc:
+                val, error = math.nan, f"{type(exc).__name__}: {exc}"
+            records.append(ScanRecord(point=s, abs_l=val, norm_large=val / llt,
+                                      norm_small=val * llt, error=error))
+    if not records:
         raise ValueError("scan needs at least one point")
-    return rep
+    return ScanReport(chr.modulus, chr.label, theorem_bounds(chr.modulus), tuple(records))

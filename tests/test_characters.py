@@ -111,6 +111,9 @@ def test_order_divides_group_order():
             assert euler_phi(q) % chr.order == 0
             vals = [chi_value(chr, n) for n in range(1, q) if math.gcd(n, q) == 1]
             assert all(abs(v**chr.order - 1) < 1e-10 for v in vals)
+            # and no smaller power is principal
+            for r in prime_divisors(chr.order):
+                assert any(abs(v ** (chr.order // r) - 1) > 1e-10 for v in vals)
 
 
 def test_unit_density_and_ramified_product():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,22 @@ def test_cli_scan(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5
+
+
+def test_cli_scan_with_no_evaluated_point_fails(tmp_path, capsys):
+    # far left of the strip |L| overflows at every point: nothing to report
+    # an extreme of, so nan and exit 1, and the overflow is in the records only
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:3",
+                       "--sigma", "-100", "--csv", str(out)])
+    assert rc == 1
+    text, err = capsys.readouterr()
+    assert text.startswith("3 points, 3 errors; max |L|/loglog t = nan ")
+    assert "min |L|·loglog t = nan " in text
+    assert err == ""
+    assert len(out.read_text().strip().splitlines()) == 4
 
 
 # thm4's S_2 and m pin the S_2 series to p <= 10**6 (a 20000 table moved them)
@@ -112,11 +129,15 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
      "need finite sigma and t"),
     (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:3", "--sigma", "inf"],
      "need finite sigma and t"),
+    (["zeros", "--rect", "0,3,40,inf"], "bounds must be finite"),
+    (["zeros", "--rect", "0,3,40,41", "--res", "nan"], "grid_resolution must be positive"),
+    (_TAU[:-1] + ["inf"], "x must be finite (got inf)"),
+    (["thm2", "--q", "5", "--chi", "1", "--x", "nan"], "x must be finite (got nan)"),
 ], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
         "scan-t-zero", "scan-t2-negative", "scan-t-below-e", "scan-no-points", "scan-q-one",
         "rect-reversed", "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small",
         "thm2-delta", "tau-tol-large", "scan-t-nan", "scan-t-inf", "scan-sigma-nan",
-        "scan-sigma-inf"])
+        "scan-sigma-inf", "zeros-t-inf", "zeros-res-nan", "tau-x-inf", "thm2-x-nan"])
 def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -55,10 +56,19 @@ def test_find_tau_needs_prime_two_and_one_more(primes):
 def test_tampered_certificate_fails_revalidation(tmp_path):
     tg = dio.AngleTargets((2, 3), (Fraction(1, 3), Fraction(1, 5)), 0.05)
     cert = dio.find_tau(tg)
-    import dataclasses
-
     bad = dataclasses.replace(cert, defects=(0.0,) * len(cert.defects))
     assert not dio.revalidate(bad)
+
+
+def test_certificate_facts_follow_its_defects():
+    tg = dio.AngleTargets((2, 3, 5), (Fraction(1, 3), Fraction(1, 5), Fraction(1, 2)), 0.05)
+    cert = dio.find_tau(tg)
+    assert cert.success
+    worse = dataclasses.replace(cert, defects=(0.01, 0.3, 0.02))
+    assert worse.max_defect == 0.3 and not worse.success
+    assert worse.weight_defects == tuple(2 * math.sin(math.pi * d) for d in (0.01, 0.3, 0.02))
+    assert dataclasses.replace(worse, tolerance=0.3).success
+    assert worse.to_json()["max_defect"] == 0.3 and not worse.to_json()["success"]
 
 
 def test_targets_from_scheme_tolerance(tbl):

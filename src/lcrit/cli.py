@@ -73,6 +73,8 @@ def cmd_scan(args):
     t1, t2, n = args.grid
     if not all(math.e < t < math.inf for t in (t1, t2)):
         raise ValueError(f"scan points need t > e (got --grid {t1:g}:{t2:g}:{n}) and finite t")
+    if n > cz.MAX_POINTS:
+        raise ValueError(f"--grid asks for {n} points, more than MAX_POINTS = {cz.MAX_POINTS}")
     ts = np.exp(np.linspace(math.log(t1), math.log(t2), n))
     points = [complex(args.sigma, float(t)) for t in ts]
     rep = sc.scan(points, args.chr)

@@ -4,9 +4,9 @@ count_zeros walks the rectangle boundary tracking the continuous argument of
 zeta', refining steps until every increment is below pi/2; the winding number
 then equals the zero count (the double pole at s = 1 contributes -2 when it
 lies strictly inside, and the count is corrected for it).  find_critical_points
-seeds a grid, Newton-refines with zeta' and zeta'' from one evaluator pass,
-and certifies each distinct zero once by an independent high-precision
-residual.
+seeds a grid and runs Newton from every seed in lockstep, one batched
+zeta'/zeta'' evaluation per step, and certifies each distinct zero once by an
+independent high-precision residual.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
+import numpy as np
 
 from . import lfengine
 
-_NEWTON_STEPS = 40  # _newton's iteration cap
+MAX_POINTS = 10**6  # the most points a seed grid (so any boundary side) or a scan may have
+_NEWTON_STEPS = 40  # Newton's iteration cap per seed
+_NEWTON_CHUNK = 4096  # seeds per lockstep Newton batch
 _RESIDUAL_DPS = 35  # working digits of the mpmath residual that certifies a zero
 
 
@@ -45,6 +48,11 @@ class SearchRect:
             raise ValueError("need t_min < t_max")
         if not 0 < self.grid_resolution < math.inf:
             raise ValueError("grid_resolution must be positive and finite")
+        sides = (self.sigma_max - self.sigma_min, self.t_max - self.t_min)
+        if (max(sides) / self.grid_resolution > MAX_POINTS
+                or math.prod(_steps(x, self.grid_resolution) + 1 for x in sides) > MAX_POINTS):
+            raise ValueError(f"grid_resolution {self.grid_resolution:g} gives this rectangle "
+                             f"more than MAX_POINTS = {MAX_POINTS} seed points")
 
     def contains(self, s: complex) -> bool:
         return (self.sigma_min <= s.real <= self.sigma_max
@@ -79,6 +87,11 @@ class CriticalPointList(list):
     @property
     def complete(self) -> bool:
         return len(self) == self.expected_count
+
+
+def _steps(length: float, res: float) -> int:
+    """Grid steps along a side (seed grid rows and columns, boundary samples)."""
+    return max(2, math.ceil(length / res))
 
 
 def _pole_on_boundary(rect: SearchRect, eps: float = 1e-9) -> bool:
@@ -133,10 +146,9 @@ def _winding(rect: SearchRect) -> int:
     corners.append(corners[0])
     total = 0.0
     for a, b in zip(corners[:-1], corners[1:]):
-        length = abs(b - a)
-        n = max(2, int(math.ceil(length / rect.grid_resolution)))
+        n = _steps(abs(b - a), rect.grid_resolution)
         pts = [a + (b - a) * i / n for i in range(n + 1)]
-        vals = [_zp(s) for s in pts]
+        vals = lfengine.zeta_prime(np.array(pts)).value.tolist()
         for (s1, s2, f1, f2) in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
             if abs(f1) < 1e-13 or abs(f2) < 1e-13:
                 raise BoundaryZeroSuspected(f"|zeta'| ~ 0 near {s1}")
@@ -167,24 +179,34 @@ def count_zeros(rect: SearchRect) -> int:
     )
 
 
-def _newton(s: complex) -> complex | None:
-    # Outside -0.9 < sigma, |t| < 1e4 the evaluator is off its sweet spot.
-    # Right of sigma = 10, zeta'(s) = -log 2 * 2^-s * (1 + O((2/3)^sigma)), so
-    # each step adds about 1/log 2 to sigma and an iterate there never returns.
+def _newton_lockstep(seeds: np.ndarray) -> np.ndarray:
+    """Newton for zeta' from every seed in lockstep: one zeta'/zeta'' batch
+    per step for the seeds still live.  Returns each seed's converged point,
+    nan where the seed was dropped.
+
+    A seed is dropped when it leaves -0.9 < sigma < 10, |t| < 1e4 or comes
+    within 1e-6 of s = 1, when zeta'' = 0, or after _NEWTON_STEPS steps; it
+    has converged when |step| < 1e-13.  Outside that box the evaluator is
+    off its sweet spot.  Right of sigma = 10, zeta'(s) = -log 2 * 2^-s *
+    (1 + O((2/3)^sigma)), so each step adds about 1/log 2 to sigma and an
+    iterate there never returns.
+    """
+    out = np.full(len(seeds), complex(np.nan, np.nan))
+    s, live = seeds, np.arange(len(seeds))
     for _ in range(_NEWTON_STEPS):
-        if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
-            return None
-        try:
-            _, fp, fpp = (v.value for v in lfengine.zeta_orders(s, 2))
-        except (lfengine.ZetaPoleError, ZeroDivisionError):
-            return None
-        if fpp == 0:
-            return None
-        step = fp / fpp
-        s = s - step
-        if abs(step) < 1e-13:
-            return s
-    return None
+        keep = ((-0.9 < s.real) & (s.real < 10) & (np.abs(s.imag) < 1e4)
+                & (np.abs(s - 1) >= 1e-6))
+        s, live = s[keep], live[keep]
+        if not len(s):
+            break
+        _, fp, fpp = (v.value for v in lfengine.zeta_orders(s, 2))
+        keep = fpp != 0
+        step = fp[keep] / fpp[keep]
+        s, live = s[keep] - step, live[keep]
+        done = np.abs(step) < 1e-13
+        out[live[done]] = s[done]
+        s, live = s[~done], live[~done]
+    return out
 
 
 SAME_ZERO = 1e-9  # converged Newton copies of one zero agree to ~1e-14
@@ -198,8 +220,9 @@ def _residual_mp(s: complex) -> float:
 def find_critical_points(rect: SearchRect) -> CriticalPointList:
     """Newton-refined zeros of zeta' in the rectangle.
 
-    Grid seeds at the rect resolution; each distinct converged zero is
-    certified by an independent mpmath residual at 35 digits.  Newton stops
+    Grid seeds at the rect resolution run Newton in lockstep, _NEWTON_CHUNK
+    seeds per batch; in seed order (sigma, then t), each distinct converged
+    zero is certified by an independent mpmath residual at 35 digits.  Newton stops
     at |step| < 1e-13, so a point within SAME_ZERO of a certified zero is a
     copy of it and is skipped.  If the number of distinct zeros does not
     match count_zeros the list is returned with ``complete = False``.
@@ -207,17 +230,15 @@ def find_critical_points(rect: SearchRect) -> CriticalPointList:
     n_expected = count_zeros(rect)
     res = rect.grid_resolution
     found: list[CriticalPoint] = []
-    n_sig = max(2, int(math.ceil((rect.sigma_max - rect.sigma_min) / res)))
-    n_t = max(2, int(math.ceil((rect.t_max - rect.t_min) / res)))
-    for i in range(n_sig + 1):
-        sig = rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig
-        for j in range(n_t + 1):
-            t = rect.t_min + (rect.t_max - rect.t_min) * j / n_t
-            seed = complex(sig, t)
-            if abs(seed - 1) < 1e-3:
-                continue  # pole-excluded disk
-            z = _newton(seed)
-            if z is None or not rect.contains(z):
+    n_sig = _steps(rect.sigma_max - rect.sigma_min, res)
+    n_t = _steps(rect.t_max - rect.t_min, res)
+    i, j = np.divmod(np.arange((n_sig + 1) * (n_t + 1)), n_t + 1)
+    seeds = (rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig).astype(complex)
+    seeds.imag = rect.t_min + (rect.t_max - rect.t_min) * j / n_t
+    seeds = seeds[~(np.abs(seeds - 1) < 1e-3)]  # pole-excluded disk
+    for lo in range(0, len(seeds), _NEWTON_CHUNK):
+        for z in _newton_lockstep(seeds[lo:lo + _NEWTON_CHUNK]).tolist():
+            if not rect.contains(z):  # also a dropped (nan) seed
                 continue
             if abs(z - 1) < 1e-3:
                 continue

@@ -20,15 +20,18 @@ def dirichlet_sum(logn, coeff, s):
 def hurwitz_main_sum(a, n_terms, s, deriv):
     """Sums over n < n_terms of (-log(n+a))^d * (n+a)^(-s), d = 0..deriv.
 
-    One exp pass serves every order; returns the deriv + 1 sums as a tuple.
+    s is one complex point or a 1-D array of points.  One exp pass serves
+    every order; returns the deriv + 1 sums as a tuple, of complex numbers
+    for one point and of arrays shaped like s for an array.
     """
+    batch = isinstance(s, np.ndarray)
     if n_terms <= 0:
-        return (0j,) * (deriv + 1)
+        return (np.zeros(s.shape, np.complex128) if batch else 0j,) * (deriv + 1)
     u = np.log(np.arange(n_terms, dtype=np.float64) + a)
-    terms = np.exp(-s * u)
-    sums = [complex(terms.sum())]
+    terms = np.exp(-(s[:, None] if batch else s) * u)  # one row of terms per point
+    sums = [np.add.reduce(terms, axis=-1)]
     if deriv >= 1:
-        sums.append(complex((terms * -u).sum()))
+        sums.append(np.add.reduce(terms * -u, axis=-1))
     if deriv >= 2:
-        sums.append(complex((terms * (u * u)).sum()))
-    return tuple(sums)
+        sums.append(np.add.reduce(terms * (u * u), axis=-1))
+    return tuple(sums) if batch else tuple(map(complex, sums))

@@ -18,6 +18,7 @@ import math
 from typing import NamedTuple, Sequence
 
 import mpmath as mp
+import numpy as np
 
 from . import kernels
 from . import primesums as ps
@@ -49,9 +50,49 @@ def _cutoff(t: float) -> int:
     return max(EULER_MACLAURIN_CUTOFF, int(abs(t) / 3) + 20)
 
 
-def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[list[ComplexEval]]:
+# A batch is evaluated in sub-batches of one cutoff N and one pole branch, of
+# at most _BATCH_TERMS // N points each, so the main sums' (points x N) term
+# blocks stay bounded
+_BATCH_TERMS = 2**18
+
+
+def _hurwitz_reg(s, shifts: Sequence[float], deriv: int = 0) -> list[list[ComplexEval]]:
     """R(s, a) = zeta(s, a) - 1/(s-1) and its s-derivatives 0..deriv, for
     each shift a in ``shifts``: one list per shift, indexed by order.
+
+    s is one complex point, evaluated in CPython arithmetic, or a 1-D numpy
+    array of points, whose ComplexEvals hold arrays shaped like s.  One point
+    gives the same values alone as inside any batch; a batch agrees with
+    per-point calls to within rounding (numpy's complex products and
+    quotients may round differently from CPython's).
+    """
+    if deriv not in (0, 1, 2):
+        raise ValueError("deriv must be 0, 1, or 2")
+    if not isinstance(s, np.ndarray):
+        s = complex(s)
+        return _euler_maclaurin(s, _cutoff(s.imag), abs(1.0 - s) < 0.25, shifts, deriv,
+                                cmath.exp, abs)
+    s = np.asarray(s, dtype=np.complex128)
+    cutoff = np.maximum(EULER_MACLAURIN_CUTOFF, (np.abs(s.imag) / 3).astype(np.int64) + 20)
+    near = np.abs(1.0 - s) < 0.25
+    out = [[ComplexEval(np.empty(s.shape, np.complex128), np.empty(s.shape))
+            for _ in range(deriv + 1)] for _ in shifts]
+    for N, branch in set(zip(cutoff.tolist(), near.tolist())):
+        group = np.flatnonzero((cutoff == N) & (near == branch))
+        size = max(1, _BATCH_TERMS // N)
+        for lo in range(0, len(group), size):
+            idx = group[lo:lo + size]
+            sub = _euler_maclaurin(s[idx], N, branch, shifts, deriv,
+                                   np.exp, lambda x: np.abs(x).max())
+            for shift_out, shift_sub in zip(out, sub):
+                for o, r in zip(shift_out, shift_sub):
+                    o.value[idx], o.error_radius[idx] = r.value, r.error_radius
+    return out
+
+
+def _euler_maclaurin(s, N: int, near_pole: bool, shifts, deriv: int, exp, absmax):
+    """_hurwitz_reg at s (one point, or an array sharing N and the pole
+    branch), with ``exp`` and ``absmax`` (the largest modulus) for its type.
 
     Euler-Maclaurin with N main terms and M Bernoulli corrections:
 
@@ -61,13 +102,10 @@ def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[li
     with P_k(s) = s(s+1)...(s+2k-2).  N and B_{2k}/(2k)! * P_k^(d)(s) depend
     on s only and are built once per call; each shift takes one exp,
     (N+a)^{-s}, and sums the corrections by Horner's rule in w = (N+a)^{-2}.
-    The pole term (N+a)^{1-s}/(s-1) minus 1/(s-1) is expanded in a series in
-    eps = 1 - s near s = 1 so that R and its derivatives stay finite there.
+    Near s = 1 (``near_pole``: |1 - s| < 0.25) the pole term
+    (N+a)^{1-s}/(s-1) minus 1/(s-1) is expanded in a series in eps = 1 - s
+    so that R and its derivatives stay finite there.
     """
-    if deriv not in (0, 1, 2):
-        raise ValueError("deriv must be 0, 1, or 2")
-    s = complex(s)
-    N = _cutoff(s.imag)
     # B_2k/(2k)! (P_k, P_k', P_k'') for k = M..1, by the rising-factorial
     # recurrence P_k = P_{k-1} q with q = (s+2k-3)(s+2k-2) and the product
     # rule, so no step divides by s+j (s = 0, -1, ... are ordinary points)
@@ -77,7 +115,7 @@ def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[li
         q, dq = (s + (2 * k - 3)) * (s + (2 * k - 2)), 2.0 * s + (4 * k - 5)
         ddP = ddP * q + 2.0 * (dP * dq + P)
         dP = dP * q + P * dq
-        P *= q
+        P = P * q
         c0.append(_BK[k] * P)
         c1.append(_BK[k] * dP)
         c2.append(_BK[k] * ddP)
@@ -87,9 +125,9 @@ def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[li
     for a in shifts:
         main = kernels.hurwitz_main_sum(float(a), N, s, deriv)
         u = math.log(N + a)
-        base = cmath.exp(-s * u)  # (N+a)^{-s}
+        base = exp(-s * u)  # (N+a)^{-s}
         # regularized pole part: (N+a)^{1-s}/(s-1) - 1/(s-1)
-        if abs(eps) < 0.25:
+        if near_pole:
             # series in eps: R1 = -sum_{j>=1} eps^{j-1} u^j / j!; step m adds
             # the eps^m terms of R1, R1' and R1'' (no dividing by eps)
             r1 = [0j, 0j, 0j]
@@ -98,7 +136,7 @@ def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[li
             for m in range(200):
                 terms = (-epspow * f1, (m + 1) * epspow * f2, -(m + 1) * (m + 2) * epspow * f3)
                 r1 = [r + x for r, x in zip(r1, terms)]
-                if m > 2 and max(map(abs, terms)) < 1e-30:
+                if m > 2 and max(map(absmax, terms)) < 1e-30:
                     break
                 epspow *= eps
                 f1, f2, f3 = f2, f3, f3 * (u / (m + 4))
@@ -132,9 +170,13 @@ def _hurwitz_reg(s: complex, shifts: Sequence[float], deriv: int = 0) -> list[li
 # Riemann zeta and derivatives
 
 
-def zeta_orders(s: complex, deriv: int) -> list[ComplexEval]:
-    """zeta^(d)(s) for d = 0..deriv: R(s, 1) plus the pole part's derivatives."""
-    if abs(s - 1.0) < 1e-12:
+def zeta_orders(s, deriv: int) -> list[ComplexEval]:
+    """zeta^(d)(s) for d = 0..deriv: R(s, 1) plus the pole part's derivatives.
+
+    s is one complex point or a 1-D numpy array of points (see _hurwitz_reg);
+    a batch with any point at the pole raises like one point does.
+    """
+    if np.any(abs(s - 1.0) < 1e-12):
         raise ZetaPoleError("zeta and its derivatives have a pole at s = 1")
     sm1 = s - 1.0
     pole = (1.0 / sm1, -1.0 / sm1**2, 2.0 / sm1**3)

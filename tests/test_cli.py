@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from lcrit import cli
+from lcrit import critzeros as cz
 from lcrit import lfengine as lf
+from lcrit import scanner as sc
 
 
 def test_cli_chars_json(tmp_path, capsys):
@@ -145,6 +147,23 @@ def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: lcrit ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, stub", [
+    (["scan", "--q", "5", "--chi", "1", "--grid", "1e3:1e4:1000001"], (sc, "scan")),
+    (["zeros", "--rect", "0,3,40,41", "--res", "1e-4"], (cz, "find_critical_points")),
+], ids=["scan-grid", "zeros-res"])
+def test_cli_work_above_the_cap_is_a_usage_error(argv, stub, monkeypatch, capsys):
+    # more than MAX_POINTS = 10**6 points; the stub fails fast should the
+    # command get past its check
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluated past the point cap")
+
+    monkeypatch.setattr(*stub, unreachable)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "more than MAX_POINTS = 1000000" in capsys.readouterr().err
 
 
 def test_import_leaves_sympy_out():

@@ -1,5 +1,7 @@
 import csv
+import math
 
+import numpy as np
 import pytest
 
 from lcrit import critzeros as cz
@@ -14,6 +16,17 @@ def test_rect_validation():
     r = cz.SearchRect(0.0, 2.0, 0.0, 5.0)
     assert r.contains(1.0 + 1.0j)
     assert not r.contains(3.0 + 1.0j)
+
+
+def test_rect_seed_grid_is_capped():
+    # 3 x 1 at 1e-4 asks for 30,001 x 10,001 seeds; at 5e-324 the step count
+    # itself overflows a float
+    for res in (1e-4, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="MAX_POINTS = 1000000"):
+            cz.SearchRect(0.0, 3.0, 40.0, 41.0, grid_resolution=res)
+    with pytest.raises(ValueError, match="MAX_POINTS"):
+        cz.SearchRect(0.0, 1.0, 0.0, 1.0, grid_resolution=1 / 1000)  # 1001 x 1001
+    cz.SearchRect(0.0, 1.0, 0.0, 1.0, grid_resolution=1 / 998)  # 999 x 999 is allowed
 
 
 def test_first_zero_of_zeta_prime():
@@ -105,3 +118,62 @@ def test_each_zero_certified_once(t_min, n_zeros, monkeypatch):
     assert pts.complete and len(pts) == n_zeros
     assert len(calls) == n_zeros
     assert sorted(calls, key=lambda z: z.imag) == [p.point for p in pts]
+
+
+def _scalar_newton(s):
+    """Reference: Newton for zeta' from one seed, one scalar evaluation per step."""
+    for _ in range(cz._NEWTON_STEPS):
+        if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
+            return None
+        _, fp, fpp = (v.value for v in lf.zeta_orders(s, 2))
+        if fpp == 0:
+            return None
+        step = fp / fpp
+        s = s - step
+        if abs(step) < 1e-13:
+            return s
+    return None
+
+
+def _seeds(rect):
+    res = rect.grid_resolution
+    n_sig = max(2, math.ceil((rect.sigma_max - rect.sigma_min) / res))
+    n_t = max(2, math.ceil((rect.t_max - rect.t_min) / res))
+    seeds = [complex(rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig,
+                     rect.t_min + (rect.t_max - rect.t_min) * j / n_t)
+             for i in range(n_sig + 1) for j in range(n_t + 1)]
+    return [s for s in seeds if not abs(s - 1) < 1e-3]
+
+
+_STRIPS = [cz.SearchRect(0.0, 3.0, a, a + 5.0) for a in (40.0, 45.0, 75.0)]
+
+
+@pytest.mark.parametrize("rect", _STRIPS + [cz.SearchRect(0.3, 1.7, -0.6, 0.6, 0.2)],
+                         ids=["t40", "t45", "t75", "pole-inside"])
+def test_lockstep_newton_matches_scalar_newton(rect):
+    # every seed keeps its scalar outcome: dropped (nan) where the scalar
+    # Newton returns None, else the same zero to within 1e-13 (numpy's complex
+    # products round differently from CPython's)
+    seeds = _seeds(rect)
+    got = cz._newton_lockstep(np.array(seeds)).tolist()
+    want = [_scalar_newton(s) for s in seeds]
+    assert [g != g for g in got] == [w is None for w in want]
+    assert all(abs(g - w) < 1e-13 for g, w in zip(got, want) if w is not None)
+
+
+@pytest.mark.parametrize("rect", _STRIPS, ids=["t40", "t45", "t75"])
+def test_strip_is_a_few_batched_evaluations(rect, monkeypatch):
+    # 273 seeds run Newton in lockstep (at most 40 steps) and each boundary
+    # side is sampled in one call; a scalar Newton made ~2,150 calls
+    sizes = []
+    real = lf.zeta_orders
+
+    def counted(s, deriv):
+        sizes.append(np.size(s))
+        return real(s, deriv)
+
+    monkeypatch.setattr(lf, "zeta_orders", counted)
+    pts = cz.find_critical_points(rect)
+    assert pts.complete
+    assert len(sizes) <= 60
+    assert max(sizes) == len(_seeds(rect)) == 273

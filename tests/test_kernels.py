@@ -70,6 +70,17 @@ def test_empty_inputs():
     assert kernels.hurwitz_main_sum(0.5, 0, 2.0 + 0j, 2) == (0j, 0j, 0j)
 
 
+def test_hurwitz_main_sum_batch_is_per_point():
+    # an array of points sums each row as a one-point call does, bit for bit
+    s = np.array([3.0 + 0j, 0.5 + 14.1j, -0.8 - 60.0j, 2.0 + 1e3j])
+    for deriv in range(3):
+        got = kernels.hurwitz_main_sum(0.3, 400, s, deriv)
+        for k, point in enumerate(s.tolist()):
+            assert tuple(g[k] for g in got) == kernels.hurwitz_main_sum(0.3, 400, point, deriv)
+    empty = kernels.hurwitz_main_sum(0.5, 0, s, 1)
+    assert len(empty) == 2 and all(np.array_equal(e, np.zeros(4)) for e in empty)
+
+
 def test_dirichlet_sum_simple_values():
     # 1 + 2^-2 + 3^-2 with unit coefficients
     logn = np.log(np.array([1.0, 2.0, 3.0]))
@@ -107,6 +118,8 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
         ("hurwitz_main_sum", lambda: lfengine.zeta_orders(2.0 + 1j, 2)),
+        ("hurwitz_main_sum", lambda: lcrit.critzeros.find_critical_points(
+            lcrit.critzeros.SearchRect(0.5, 4.0, 20.0, 26.0, grid_resolution=0.5))),
     ]
     for kernel, call in callers:
         before = counts[kernel]

@@ -121,6 +121,42 @@ def test_hurwitz_reg_batch_matches_single_shifts(s):
         assert [len(orders) for orders in batch] == [d + 1] * len(shifts)
 
 
+# one batch with both pole branches, s = 0, sigma < 0 and cutoffs N = 50 .. 3353
+_BATCH = np.array(
+    [0j, 0.9 + 0.1j, 1.2 - 0.05j, 1.0 + 0.2j, 0.8 + 0j, 1.0 + 0.249j, 1.1 + 0.1j,
+     -0.5 + 3j, -0.85 - 20j, 0.5 + 14.134725j, 2.5 + 3j, 4.0 + 0j, 9.9 - 1j,
+     0.5 + 149.5j, 0.5 + 151j, 3.0 - 400j, -0.5 + 1234.5j, 2.0 - 5000j, 0.5 + 9999.5j]
+    + [complex(sig, t) for sig in (-0.85, 0.25, 1.5, 6.0) for t in (-7.5, 33.3, 170.0, 2e3)])
+
+
+def test_zeta_batch_matches_scalar_calls():
+    # a batch rounds like numpy, one point like CPython: values agree to
+    # 8 ulps of |zeta^(d)| + sum_{n<=N} n^-sigma log^d n (the scale of the
+    # terms that cancel), radii to 4 ulps
+    eps = np.finfo(float).eps
+    batch = lf.zeta_orders(_BATCH, 2)
+    for k, s in enumerate(_BATCH.tolist()):
+        n = np.arange(1.0, lf._cutoff(s.imag) + 1)
+        for d, one in enumerate(lf.zeta_orders(s, 2)):
+            assert isinstance(one.value, complex)
+            mass = float(np.sum(n ** -s.real * np.log(n) ** d))
+            assert abs(batch[d].value[k] - one.value) <= 8 * eps * (abs(one.value) + mass)
+            assert abs(batch[d].error_radius[k] - one.error_radius) <= 4 * eps * one.error_radius
+
+
+def test_zeta_batch_point_is_independent_of_its_batch(monkeypatch):
+    # alone, inside the whole batch, or in sub-batches of two points: the same bits
+    batch = lf.zeta_orders(_BATCH, 2)
+    monkeypatch.setattr(lf, "_BATCH_TERMS", 2 * lf.EULER_MACLAURIN_CUTOFF)
+    for parts in ([_BATCH[k:k + 1] for k in range(len(_BATCH))], [_BATCH]):
+        for orders, whole in zip(zip(*(lf.zeta_orders(p, 2) for p in parts)), batch):
+            assert np.array_equal(np.concatenate([o.value for o in orders]), whole.value)
+            assert np.array_equal(np.concatenate([o.error_radius for o in orders]),
+                                  whole.error_radius)
+    with pytest.raises(lf.ZetaPoleError):
+        lf.zeta_orders(np.array([2.0 + 0j, 1.0 + 0j]), 1)
+
+
 def test_dirichlet_l_is_one_hurwitz_call(monkeypatch):
     # the s-only Bernoulli factors are built once per evaluation; the main
     # sum still runs once per residue prime to q

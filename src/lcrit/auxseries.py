@@ -30,6 +30,7 @@ from .characters import Character, prime_divisors
 SCHEME_KINDS = ("B", "C", "Bprime", "Cprime")
 S2_CUTOFF = 10**6  # S_2's prime series runs over p <= S2_CUTOFF
 _NEWTON_STEPS = 50  # newton_root's iteration cap
+_MAX_DISC_SPREAD = 4.0  # largest R log x of a disc expansion, so its order K <= 33
 
 # weight tables: (p | q entry or None, range1, range2, range3, range4)
 # entries: +1, -1 scalars, or "chi" / "chibar" / "-chi" / "-chibar"
@@ -102,7 +103,8 @@ class WeightScheme:
 
     kind: str
     params: SchemeParams
-    # id(tbl) -> (tbl, lifted weights); holding tbl keeps its id from being reused
+    # id(tbl) -> [tbl, lifted weights, disc expansion or None until first
+    # needed]; holding tbl keeps its id from being reused
     _power_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -129,13 +131,36 @@ class WeightScheme:
     def power_weights(self, tbl: ps.PrimeTable) -> np.ndarray:
         """a(p)^k at each prime power p^k <= x, in the order of
         tbl.prime_powers(x); built and range-checked once per table."""
+        return self._entry(tbl)[1]
+
+    def _entry(self, tbl: ps.PrimeTable) -> list:
         hit = self._power_cache.get(id(tbl))
         if hit is None:
             x = self.params.x
             wk = ps.lift_weights(self.prime_weights(tbl.primes_upto(x)), x, tbl)
             wk.flags.writeable = False
-            hit = self._power_cache[id(tbl)] = (tbl, wk)
-        return hit[1]
+            hit = self._power_cache[id(tbl)] = [tbl, wk, None]
+        return hit
+
+    def expansion(self, s: complex, tbl: ps.PrimeTable) -> ps.DiscExpansion | None:
+        """The Taylor expansion of aux_series about the Rouche centre c, if s
+        lies inside its disc |s - c| < R, else None.
+
+        R = Re c - 1, so the disc is tangent to Re s = 1 and holds both
+        Rouche circles.  R log x is capped at _MAX_DISC_SPREAD: K grows with
+        it, and near delta's admissible limit it reaches 100 and more (for
+        chi mod 5 at delta = 0.75 and x = 200..1e7 it is 1.0 to 3.3, under the
+        cap).  Built on the first s inside, once per table.
+        """
+        c = rouche_circles(self.params).center
+        radius = min(c.real - 1, _MAX_DISC_SPREAD / math.log(self.params.x))
+        if not abs(s - c) < radius:
+            return None
+        entry = self._entry(tbl)
+        if entry[2] is None:
+            entry[2] = ps.disc_expansion(c, radius, self.params.x, entry[1], tbl,
+                                         over_log=self.kind in ("C", "Cprime"))
+        return entry[2]
 
     def prime_weight_angle(self, p: int) -> Fraction:
         """Exact angle (in turns) of the weight at prime p <= x."""
@@ -262,7 +287,11 @@ def v_series_shifted(s: complex, phases: np.ndarray, x: float, tbl: ps.PrimeTabl
 
 def aux_series(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) -> complex:
     """W_x / Z_x (kinds B, Bprime: Lambda-weighted) or M_x (kinds C, Cprime:
-    additionally divided by log n), at the point s."""
+    additionally divided by log n), at the point s: from the scheme's disc
+    expansion inside its disc, by a direct sum elsewhere."""
+    disc = scheme.expansion(s, tbl)
+    if disc is not None:
+        return disc.at(s)
     over_log = scheme.kind in ("C", "Cprime")
     return ps.power_weighted_sum(s, scheme.params.x, scheme.power_weights(tbl), tbl,
                                  over_log=over_log)
@@ -297,7 +326,7 @@ def linear_form(s: complex, scheme: WeightScheme) -> complex:
     """The linear model of W_x (kind B) or Z_x (kind Bprime) near s = 1."""
     _check_linear_domain(s, scheme.params)
     constant, slope = _linear_model(scheme)
-    return constant + slope * (s - 1)
+    return complex(constant + slope * (s - 1))
 
 
 def closed_form_root(scheme: WeightScheme) -> complex:
@@ -360,6 +389,9 @@ def aux_series_derivative(s: complex, scheme: WeightScheme, tbl: ps.PrimeTable) 
     pr = scheme.params
     if scheme.kind not in ("B", "Bprime"):
         raise ValueError("derivative used for kinds B and Bprime only")
+    disc = scheme.expansion(s, tbl)
+    if disc is not None:
+        return disc.at(s, 1)
     pp = tbl.prime_powers(pr.x)
     # not through power_weighted_sum: its weights * log n argument would stay
     # alive beside the coefficients, one more complex array per prime power
@@ -420,5 +452,5 @@ def linear_form_min_on_inner(scheme: WeightScheme) -> float:
 
 def root_in_inner_circle(scheme: WeightScheme) -> bool:
     rc = rouche_circles(scheme.params)
-    return abs(closed_form_root(scheme) - rc.center) < rc.inner_radius
+    return bool(abs(closed_form_root(scheme) - rc.center) < rc.inner_radius)
 

@@ -8,6 +8,7 @@ identity.  Prime-power terms (k >= 2) are always summed exactly, never estimated
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ from . import kernels
 from .characters import Character
 
 SIEVE_LIMIT_GUARD = 10**9
+_ROUNDOFF = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass
@@ -136,6 +138,60 @@ def power_weighted_sum(
     else:
         coeff = power_weights * pp.logp
     return kernels.dirichlet_sum(pp.logn, coeff, complex(s))
+
+
+class DiscExpansion(NamedTuple):
+    """A prime-power sum F(s) = sum_n a_n n^(-s) as its Taylor expansion
+    about ``center``, for |s - center| < ``radius``.
+
+    ``moments`` holds M_k = sum_n a_n (-log n)^k n^(-center), k = 0..K+1;
+    F^(d)(s) is sum_{k<=K} M_(k+d) (s - center)^k / k! for d = 0, 1, within
+    ``bound[d]`` of the direct sum.
+    """
+
+    center: complex
+    radius: float
+    moments: tuple[complex, ...]
+    bound: tuple[float, float]
+
+    def at(self, s: complex, deriv: int = 0) -> complex:
+        """F (deriv 0) or F' (deriv 1) at s, by Horner's rule."""
+        h = complex(s) - self.center
+        m = self.moments
+        acc = 0j
+        for k in range(len(m) - 2, -1, -1):
+            acc = m[k + deriv] + acc * h / (k + 1)
+        return acc
+
+
+def disc_expansion(
+    center: complex,
+    radius: float,
+    x: float,
+    power_weights: np.ndarray,
+    tbl: PrimeTable,
+    over_log: bool = False,
+) -> DiscExpansion:
+    """power_weighted_sum(s, x, power_weights, tbl, over_log) as a
+    DiscExpansion about ``center`` of radius ``radius``, from one moment pass.
+
+    With U = log x (the largest log n) and R the radius, K is the least
+    order with (RU)^(K+1)/(K+1)! e^(RU) <= u, u the unit roundoff.  bound[d]
+    is U^d mass [(RU)^(K+1)/(K+1)! + u (K + log2 n + 2)]: the truncation
+    remainder plus a rounding term for both routes, where mass =
+    sum |a_n| n^(R - Re center) is the largest sum of |terms| on the disc.
+    """
+    pp = tbl.prime_powers(x)
+    log_x = math.log(x)
+    ru = radius * log_x
+    order = 0
+    while ru ** (order + 1) / math.factorial(order + 1) * math.exp(ru) > _ROUNDOFF:
+        order += 1
+    coeff = power_weights / pp.k if over_log else power_weights * pp.logp  # as power_weighted_sum
+    moments, mass = kernels.dirichlet_moments(pp.logn, coeff, center, radius, order + 1)
+    rounding = _ROUNDOFF * (order + math.log2(max(len(pp.n), 1)) + 2)
+    bound = mass * (ru ** (order + 1) / math.factorial(order + 1) + rounding)
+    return DiscExpansion(complex(center), float(radius), tuple(moments), (bound, bound * log_x))
 
 
 def lambda_weighted_sum(

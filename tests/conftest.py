@@ -1,5 +1,6 @@
 import pytest
 
+from lcrit import acceptance
 from lcrit import primesums as ps
 
 
@@ -11,3 +12,9 @@ def tbl():
 @pytest.fixture(scope="session")
 def tbl_small():
     return ps.sieve(10**4)
+
+
+@pytest.fixture(scope="session")
+def tbl_large():
+    # the acceptance criteria's 10^7 table, shared rather than sieved twice
+    return acceptance._table(10**7)

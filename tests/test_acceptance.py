@@ -16,4 +16,5 @@ from lcrit import acceptance
 def test_criterion(criterion):
     result = criterion()
     print(result.line())
+    assert type(result.passed) is bool
     assert result.passed, result.line()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrit import auxseries as aux
-from lcrit import lfengine
+from lcrit import kernels, lfengine
 from lcrit import primesums as ps
 from lcrit.characters import enumerate_characters
 
@@ -87,7 +87,7 @@ def test_aux_series_matches_lambda_weighted_sum(kind, chr5, tbl):
     # table cannot give this table's value
     keep = small.primes != 7
     doctored = ps.PrimeTable(10**5, small.primes[keep])
-    at_one = {}
+    at_one, on_disc = {}, {}
     for name, t in (("1e5", small), ("1e6", tbl), ("doctored", doctored)):
         for s in (1.0 + 0j, 1.05 + 0.02j, 1.5 - 2.0j, 3.0 + 10.0j):
             expect = ps.lambda_weighted_sum(s, 1e5, scheme.prime_weights(t.primes), t,
@@ -95,7 +95,10 @@ def test_aux_series_matches_lambda_weighted_sum(kind, chr5, tbl):
             got = aux.aux_series(s, scheme, t)
             assert abs(got - expect) <= 1e-13 * abs(expect)
         at_one[name] = aux.aux_series(1.0 + 0j, scheme, t)
+        on_disc[name] = scheme.expansion(1.05 + 0.02j, t)  # the disc route, per table
     assert abs(at_one["doctored"] - at_one["1e6"]) > 1e-3
+    assert on_disc["doctored"] is not on_disc["1e6"]
+    assert abs(on_disc["doctored"].at(1.05 + 0.02j) - on_disc["1e6"].at(1.05 + 0.02j)) > 1e-3
 
 
 def test_small_prime_override_is_real(chr5, tbl):
@@ -255,3 +258,73 @@ def test_aux_series_conjugation(chr5, tbl):
 def test_linear_domain_guard(scheme_b):
     with pytest.raises(ValueError):
         aux.linear_form(5.0 + 0j, scheme_b)
+
+
+# the schemes whose disc route is checked against the direct sum: criterion
+# 5's eight, criterion 7's x = 200 B scheme, and one each of the over-log kinds
+_DISC_SCHEMES = [(k, x) for k in ("B", "Bprime") for x in (1e4, 1e5, 1e6, 1e7)] + [
+    ("B", 200.0), ("C", 1e5), ("Cprime", 1e4)]
+
+
+@pytest.mark.parametrize("kind,x", _DISC_SCHEMES)
+def test_disc_expansion_within_its_bound_of_the_direct_sum(kind, x, chr5, tbl_large, monkeypatch):
+    scheme = aux.make_scheme(kind, chr5, x, tbl_large, delta=0.75)
+    rc = aux.rouche_circles(scheme.params)
+    phi = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    checks = [(s, 0) for r in (rc.inner_radius, rc.outer_radius)
+              for s in (rc.center + r * np.exp(1j * phi)).tolist()]
+    if kind in ("B", "Bprime"):
+        iterates = []
+        series = aux.aux_series
+        with monkeypatch.context() as m:
+            m.setattr(aux, "aux_series",
+                      lambda s, sch, t: iterates.append(s) or series(s, sch, t))
+            aux.newton_root(scheme, tbl_large)
+        checks += [(s, d) for s in iterates for d in (0, 1)]
+    # the direct route's coefficients: the series, then its term-by-term d/ds
+    pp = tbl_large.prime_powers(x)
+    w = scheme.power_weights(tbl_large)
+    coeff = w / pp.k if kind in ("C", "Cprime") else w * pp.logp
+    coeffs = (coeff, -coeff * pp.logn)
+    disc = scheme.expansion(rc.center, tbl_large)
+    assert disc.radius == rc.center.real - 1  # tangent to Re s = 1
+    for s, d in checks:
+        assert scheme.expansion(s, tbl_large) is disc  # inside, and built once
+        direct = kernels.dirichlet_sum(pp.logn, coeffs[d], s)
+        assert abs(disc.at(s, d) - direct) <= disc.bound[d]
+        if d == 0:  # bound[1] is bound[0] log x
+            assert disc.bound[0] <= 1e-13 * (1 + abs(direct))
+
+
+def test_disc_radius_capped_near_the_delta_limit(chr5, tbl):
+    # near delta's admissible limit R log x is about 145: an uncapped disc
+    # would need K past 170, where (R log x)^(K+1) overflows a float
+    params = aux.SchemeParams(x=1e5, delta=0.97, m=1.1, chr=chr5, s_const=0.5 + 0j)
+    scheme = aux.WeightScheme("B", params)
+    c = aux.rouche_circles(params).center
+    assert (c.real - 1) * math.log(1e5) > 100
+    disc = scheme.expansion(c + 0.2, tbl)
+    assert disc.radius * math.log(1e5) == pytest.approx(aux._MAX_DISC_SPREAD)
+    direct = ps.power_weighted_sum(c + 0.2, 1e5, scheme.power_weights(tbl), tbl)
+    assert abs(aux.aux_series(c + 0.2, scheme, tbl) - direct) <= disc.bound[0]
+    assert scheme.expansion(c + 0.5, tbl) is None
+
+
+@pytest.mark.parametrize("label", [1, 2])  # complex and real (c on the real axis)
+def test_aux_series_at_one_is_the_direct_sum(label, tbl):
+    chr = enumerate_characters(5)[label]
+    for kind in aux.SCHEME_KINDS:
+        scheme = aux.make_scheme(kind, chr, 1e5, tbl, delta=0.75)
+        assert scheme.expansion(1.0 + 0j, tbl) is None  # on or outside the disc
+        direct = ps.power_weighted_sum(1.0 + 0j, 1e5, scheme.power_weights(tbl), tbl,
+                                       over_log=kind in ("C", "Cprime"))
+        assert aux.aux_series(1.0 + 0j, scheme, tbl) == direct
+
+
+def test_series_values_are_builtin_complex(scheme_b, tbl):
+    inside = aux.inner_circle_points(scheme_b.params, 4)[0]  # a numpy complex128
+    for s in (inside, np.complex128(1.0), 1.0 + 0j):
+        assert type(aux.aux_series(s, scheme_b, tbl)) is complex
+        assert type(aux.aux_series_derivative(s, scheme_b, tbl)) is complex
+    assert type(aux.linear_form(inside, scheme_b)) is complex
+    assert type(aux.root_in_inner_circle(scheme_b)) is bool

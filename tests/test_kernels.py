@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcrit
+import lcrit.acceptance
 import lcrit.critzeros
 import lcrit.diophantine
 import lcrit.scanner
@@ -40,6 +41,30 @@ def test_dirichlet_sum_matches_fsum(n, sr, si, seed):
     ref = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     mass = math.fsum(abs(t) for t in terms)
     assert abs(kernels.dirichlet_sum(logn, coeff, s) - ref) <= 1e-13 * (1.0 + mass)
+
+
+@given(
+    n=st.integers(0, 300),
+    cr=st.floats(0.5, 4.0),
+    ci=st.floats(-50.0, 50.0),
+    r=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_dirichlet_moments_match_fsum(n, cr, ci, r, seed):
+    rng = np.random.default_rng(seed)
+    logn = np.log(np.arange(2, n + 2, dtype=np.float64))
+    coeff = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.complex128)
+    c = complex(cr, ci)
+    moments, mass = kernels.dirichlet_moments(logn, coeff, c, r, 6)
+    assert len(moments) == 7 and all(type(m) is complex for m in moments)
+    v = [complex(a) * cmath.exp(-c * float(u)) for a, u in zip(coeff, logn)]
+    for k, got in enumerate(moments):
+        terms = [vi * (-float(u)) ** k for vi, u in zip(v, logn)]
+        ref = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert abs(got - ref) <= 1e-13 * (1.0 + math.fsum(abs(t) for t in terms))
+    ref_mass = math.fsum(abs(vi) * math.exp(r * float(u)) for vi, u in zip(v, logn))
+    assert mass == pytest.approx(ref_mass, rel=1e-13, abs=1e-300)
 
 
 @given(
@@ -102,7 +127,7 @@ def test_hurwitz_sum_first_derivative_sign():
 def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
     # a caller that binds a kernel by `from .kernels import ...` bypasses
     # any wrapper installed on the module attribute (perfbench's tracer)
-    counts = dict.fromkeys(("dirichlet_sum", "hurwitz_main_sum"), 0)
+    counts = dict.fromkeys(("dirichlet_sum", "dirichlet_moments", "hurwitz_main_sum"), 0)
     for name in counts:
         def counted(*args, _real=getattr(kernels, name), _name=name):
             counts[_name] += 1
@@ -115,7 +140,8 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         ("dirichlet_sum", lambda: ps.power_weighted_sum(2.0 + 0j, 1e4, ones, tbl)),
         ("dirichlet_sum", lambda: aux.v_series_shifted(2.0 + 0j, aux.shift_phases(0, 1e4, tbl),
                                                         1e4, tbl)),
-        ("dirichlet_sum", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
+        ("dirichlet_sum", lambda: aux.aux_series(1.0 + 0j, scheme, tbl)),
+        ("dirichlet_moments", lambda: aux.aux_series_derivative(1.2 + 0j, scheme, tbl)),
         ("hurwitz_main_sum", lambda: lfengine.dirichlet_l(2.0 + 1j, chr)),
         ("hurwitz_main_sum", lambda: lfengine.zeta_orders(2.0 + 1j, 2)),
         ("hurwitz_main_sum", lambda: lcrit.critzeros.find_critical_points(
@@ -125,6 +151,32 @@ def test_callers_reach_kernels_through_module_attribute(tbl, monkeypatch):
         before = counts[kernel]
         call()
         assert counts[kernel] > before
+
+
+def _kernel_calls(run):
+    """(dirichlet_moments, dirichlet_sum) calls made by run()."""
+    counts = dict.fromkeys(("dirichlet_moments", "dirichlet_sum"), 0)
+    with pytest.MonkeyPatch.context() as mp_:
+        for name in counts:
+            def counted(*args, _real=getattr(kernels, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            mp_.setattr(kernels, name, counted)
+        run()
+    return counts["dirichlet_moments"], counts["dirichlet_sum"]
+
+
+def test_disc_route_kernel_calls(monkeypatch):
+    # one moment pass per scheme serves every point inside its disc; only
+    # points outside it (criterion 5's W(1) cross-check) take a direct sum
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    wl = worker.WORKLOADS["aux_roots"]
+    ctx = wl.setup(lcrit)[0]
+    ops = wl.ops(0)
+    assert len(ops) == 8
+    assert _kernel_calls(lambda: [wl.run(lcrit, ctx, op) for op in ops]) == (8, 0)
+    assert _kernel_calls(lcrit.acceptance.criterion_5) == (8, 8)
 
 
 def test_perfbench_hooks_resolve(monkeypatch):

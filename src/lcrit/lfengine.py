@@ -138,7 +138,7 @@ def _euler_maclaurin(s, N: int, near_pole: bool, shifts, deriv: int, exp, absmax
                 r1 = [r + x for r, x in zip(r1, terms)]
                 if m > 2 and max(map(absmax, terms)) < 1e-30:
                     break
-                epspow *= eps
+                epspow = epspow * eps  # not *=: numpy rounds that differently at one point
                 f1, f2, f3 = f2, f3, f3 * (u / (m + 4))
         else:
             sm1 = s - 1.0
@@ -205,9 +205,10 @@ def _check_char(chr: Character) -> None:
         raise ValueError("principal characters are not supported here")
 
 
-def _l_orders(s: complex, chr: Character, deriv: int) -> list[ComplexEval]:
+def _l_orders(s, chr: Character, deriv: int) -> list[ComplexEval]:
     """L^(d)(s, chi) for d = 0..deriv (0 or 1), from one Hurwitz call.
 
+    s is one complex point or a 1-D numpy array of points (see _hurwitz_reg).
     L = q^{-s} T with T = sum_a chi(a) R(s, a/q); the product rule gives
     L' = q^{-s} (T' - T log q).
     """
@@ -221,15 +222,15 @@ def _l_orders(s: complex, chr: Character, deriv: int) -> list[ComplexEval]:
     tot = [sum(c * h[d].value for c, h in zip(cs, hs)) for d in range(deriv + 1)]
     err = [sum(abs(c) * h[d].error_radius for c, h in zip(cs, hs)) for d in range(deriv + 1)]
     lq = math.log(q)
-    qs = cmath.exp(-complex(s) * lq)
+    qs = np.exp(-s * lq) if isinstance(s, np.ndarray) else cmath.exp(-complex(s) * lq)
     vals = [tot[0], tot[1] - lq * tot[0]] if deriv else tot
     # L' allows for rounding in its log q * T term
     return [ComplexEval(qs * v, abs(qs) * (e + (lq * 1e-14 * abs(tot[0]) if d else 0.0)))
             for d, (v, e) in enumerate(zip(vals, err))]
 
 
-def dirichlet_l(s: complex, chr: Character, deriv: int = 0) -> ComplexEval:
-    """L(s, chi) or L'(s, chi) for non-principal chi.
+def dirichlet_l(s, chr: Character, deriv: int = 0) -> ComplexEval:
+    """L(s, chi) or L'(s, chi) for non-principal chi, at a point or 1-D array s.
 
     Entire for non-principal chi, so s = 1 is an ordinary point: the Hurwitz
     pole terms cancel exactly since sum_a chi(a) = 0.
@@ -237,10 +238,10 @@ def dirichlet_l(s: complex, chr: Character, deriv: int = 0) -> ComplexEval:
     return _l_orders(s, chr, deriv)[deriv]
 
 
-def l_log_derivative(s: complex, chr: Character) -> ComplexEval:
-    """L'/L(s, chi), non-principal chi; raises on a zero of L."""
+def l_log_derivative(s, chr: Character) -> ComplexEval:
+    """L'/L(s, chi), non-principal chi, at a point or 1-D array s; raises on a zero of L."""
     lv, lp = _l_orders(s, chr, 1)
-    if abs(lv.value) < 1e-14:
+    if np.any(abs(lv.value) < 1e-14):
         raise ZetaPoleError("L vanishes at this point; L'/L undefined")
     val = lp.value / lv.value
     err = (lp.error_radius + abs(val) * lv.error_radius) / abs(lv.value)

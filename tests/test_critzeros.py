@@ -29,6 +29,17 @@ def test_rect_seed_grid_is_capped():
     cz.SearchRect(0.0, 1.0, 0.0, 1.0, grid_resolution=1 / 998)  # 999 x 999 is allowed
 
 
+def test_count_refuses_rectangles_left_of_the_sigma_floor():
+    # the rectangle itself is valid (an isolating box may reach left of the
+    # floor); counting there would read a wrong or overflowing zeta'
+    for sigma_min in (-300.0, -30.0, np.nextafter(cz.SIGMA_FLOOR, -1.0)):
+        rect = cz.SearchRect(sigma_min, sigma_min + 1.0, 10.0, 11.0)
+        for search in (cz.count_zeros, cz.find_critical_points):
+            with pytest.raises(ValueError, match="need sigma_min >= SIGMA_FLOOR = -0.9"):
+                search(rect)
+    assert cz.count_zeros(cz.SearchRect(cz.SIGMA_FLOOR, 0.1, 10.0, 11.0)) == 0
+
+
 def test_first_zero_of_zeta_prime():
     # the lowest zero of zeta' in the upper half of the critical strip
     rect = cz.SearchRect(0.5, 4.0, 20.0, 26.0, grid_resolution=0.5)

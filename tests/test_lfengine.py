@@ -129,37 +129,60 @@ _BATCH = np.array(
     + [complex(sig, t) for sig in (-0.85, 0.25, 1.5, 6.0) for t in (-7.5, 33.3, 170.0, 2e3)])
 
 
-def test_zeta_batch_matches_scalar_calls():
+# zeta, zeta', zeta'' on _BATCH (q = 1), or L, L' for one odd chi mod q = 5,
+# 7, 8 or 11 (so L(0, chi) != 0) on _BATCH and s = 1; L's main sums run over
+# n = qk + a <= qN
+_ORDERS = {"zeta": (_BATCH, lambda s: lf.zeta_orders(s, 2), 1)} | {
+    f"L-mod-{q}": (np.append(_BATCH, 1 + 0j),
+                   lambda s, chr=enumerate_characters(q)[label]: lf._l_orders(s, chr, 1), q)
+    for q, label in ((5, 1), (7, 3), (8, 1), (11, 1))}
+
+
+@pytest.mark.parametrize("points, orders, q", _ORDERS.values(), ids=_ORDERS)
+def test_batch_matches_scalar_calls(points, orders, q):
     # a batch rounds like numpy, one point like CPython: values agree to
-    # 8 ulps of |zeta^(d)| + sum_{n<=N} n^-sigma log^d n (the scale of the
+    # 8 ulps of |value| + sum_{n<=qN} n^-sigma log^d n (the scale of the
     # terms that cancel), radii to 4 ulps
     eps = np.finfo(float).eps
-    batch = lf.zeta_orders(_BATCH, 2)
-    for k, s in enumerate(_BATCH.tolist()):
-        n = np.arange(1.0, lf._cutoff(s.imag) + 1)
-        for d, one in enumerate(lf.zeta_orders(s, 2)):
+    batch = orders(points)
+    for k, s in enumerate(points.tolist()):
+        n = np.arange(1.0, q * lf._cutoff(s.imag) + 1)
+        for d, one in enumerate(orders(s)):
             assert isinstance(one.value, complex)
             mass = float(np.sum(n ** -s.real * np.log(n) ** d))
             assert abs(batch[d].value[k] - one.value) <= 8 * eps * (abs(one.value) + mass)
             assert abs(batch[d].error_radius[k] - one.error_radius) <= 4 * eps * one.error_radius
 
 
-def test_zeta_batch_point_is_independent_of_its_batch(monkeypatch):
+@pytest.mark.parametrize("points, orders, q", _ORDERS.values(), ids=_ORDERS)
+def test_batch_point_is_independent_of_its_batch(points, orders, q, monkeypatch):
     # alone, inside the whole batch, or in sub-batches of two points: the same bits
-    batch = lf.zeta_orders(_BATCH, 2)
+    batch = orders(points)
     monkeypatch.setattr(lf, "_BATCH_TERMS", 2 * lf.EULER_MACLAURIN_CUTOFF)
-    for parts in ([_BATCH[k:k + 1] for k in range(len(_BATCH))], [_BATCH]):
-        for orders, whole in zip(zip(*(lf.zeta_orders(p, 2) for p in parts)), batch):
-            assert np.array_equal(np.concatenate([o.value for o in orders]), whole.value)
-            assert np.array_equal(np.concatenate([o.error_radius for o in orders]),
+    for parts in ([points[k:k + 1] for k in range(len(points))], [points]):
+        for orders_k, whole in zip(zip(*(orders(p) for p in parts)), batch):
+            assert np.array_equal(np.concatenate([o.value for o in orders_k]), whole.value)
+            assert np.array_equal(np.concatenate([o.error_radius for o in orders_k]),
                                   whole.error_radius)
+
+
+def test_batch_raises_at_a_pole_or_a_zero_of_l():
     with pytest.raises(lf.ZetaPoleError):
         lf.zeta_orders(np.array([2.0 + 0j, 1.0 + 0j]), 1)
+    # L(0, chi) = 0 exactly for an even chi, so L'/L is undefined there
+    even = enumerate_characters(5)[2]
+    assert lf.dirichlet_l(0j, even).value == 0.0
+    with pytest.raises(lf.ZetaPoleError):
+        lf.l_log_derivative(np.array([2.0 + 0j, 0j]), even)
+    odd = enumerate_characters(5)[1]
+    lv, lp = lf._l_orders(_BATCH, odd, 1)
+    assert np.array_equal(lf.l_log_derivative(_BATCH, odd).value, lp.value / lv.value)
 
 
 def test_dirichlet_l_is_one_hurwitz_call(monkeypatch):
     # the s-only Bernoulli factors are built once per evaluation; the main
-    # sum still runs once per residue prime to q
+    # sum still runs once per residue prime to q, for one point or a batch
+    # of one cutoff and pole branch
     counts = dict.fromkeys(("reg", "main"), 0)
     real_reg, real_main = lf._hurwitz_reg, lf.kernels.hurwitz_main_sum
 
@@ -173,12 +196,14 @@ def test_dirichlet_l_is_one_hurwitz_call(monkeypatch):
 
     monkeypatch.setattr(lf, "_hurwitz_reg", reg)
     monkeypatch.setattr(lf.kernels, "hurwitz_main_sum", main)
+    batch = np.linspace(0.5, 3.0, 100) + 10.0j
     for q, phi in ((5, 4), (8, 4), (11, 10), (12, 4)):
         chr = enumerate_characters(q)[1]
-        for deriv in (0, 1):
-            counts.update(reg=0, main=0)
-            lf.dirichlet_l(1.0 + 10.0j, chr, deriv=deriv)
-            assert counts == {"reg": 1, "main": phi}
+        for s in (1.0 + 10.0j, batch):
+            for deriv in (0, 1):
+                counts.update(reg=0, main=0)
+                lf.dirichlet_l(s, chr, deriv=deriv)
+                assert counts == {"reg": 1, "main": phi}
         counts.update(reg=0, main=0)
         lf.l_log_derivative(1.0 + 0j, chr)
         assert counts == {"reg": 1, "main": phi}

@@ -1,12 +1,14 @@
 """Zeros of zeta' in rectangles: argument-principle counting plus Newton.
 
-count_zeros walks the rectangle boundary tracking the continuous argument of
-zeta', refining steps until every increment is below pi/2; the winding number
-then equals the zero count (the double pole at s = 1 contributes -2 when it
-lies strictly inside, and the count is corrected for it).  find_critical_points
-seeds a grid and runs Newton from every seed in lockstep, one batched
-zeta'/zeta'' evaluation per step, and certifies each distinct zero once by an
-independent high-precision residual.
+Both work on g(s) = (s-1)^2 zeta'(s) (lfengine.entire_zeta_prime), which is
+entire, has the zeros of zeta' and takes g(1) = -1, so the double pole of
+zeta' at s = 1 needs no case anywhere.  count_zeros walks the rectangle
+boundary tracking the continuous argument of g, refining steps until every
+increment is below pi/2; the winding number is then the zero count.  A zero
+on the boundary raises BoundaryZeroSuspected, a ValueError: the caller moves
+the boundary.  find_critical_points seeds a grid and runs Newton on g from
+every seed in lockstep, one batched g/g' evaluation per step, and certifies
+each distinct zero once by an independent high-precision residual of zeta'.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -30,8 +32,8 @@ _RESIDUAL_DPS = 35  # working digits of the mpmath residual that certifies a zer
 SIGMA_FLOOR = -0.9
 
 
-class BoundaryZeroSuspected(RuntimeError):
-    """A zero (or pole) of zeta' appears to sit on the rectangle boundary."""
+class BoundaryZeroSuspected(ValueError):
+    """A zero of zeta' appears to sit on the rectangle boundary: move the boundary."""
 
 
 @dataclass(frozen=True)
@@ -97,117 +99,71 @@ def _steps(length: float, res: float) -> int:
     return max(2, math.ceil(length / res))
 
 
-def _pole_on_boundary(rect: SearchRect, eps: float = 1e-9) -> bool:
-    on_sigma = abs(rect.sigma_min - 1) < eps or abs(rect.sigma_max - 1) < eps
-    on_t = abs(rect.t_min) < eps or abs(rect.t_max) < eps
-    in_sigma = rect.sigma_min - eps <= 1 <= rect.sigma_max + eps
-    in_t = rect.t_min - eps <= 0 <= rect.t_max + eps
-    return (on_sigma and in_t) or (on_t and in_sigma)
-
-
-def _pole_inside(rect: SearchRect, margin: float = 1e-9) -> bool:
-    return (
-        rect.sigma_min + margin < 1 < rect.sigma_max - margin
-        and rect.t_min + margin < 0 < rect.t_max - margin
-    )
-
-
-def _shrink(rect: SearchRect) -> SearchRect:
-    """Pull every edge inward by resolution/10 (boundary-zero evasion)."""
-    d = rect.grid_resolution / 10.0
-    return replace(
-        rect,
-        sigma_min=rect.sigma_min + d,
-        sigma_max=rect.sigma_max - d,
-        t_min=rect.t_min + d,
-        t_max=rect.t_max - d,
-    )
-
-
-def _zp(s: complex) -> complex:
-    return lfengine.zeta_prime(s).value
+def _g(s):
+    """g(s) = (s-1)^2 zeta'(s) at a point or a 1-D array of points."""
+    return lfengine.entire_zeta_prime(s, 0)[0].value
 
 
 def _arg_increment(s1, s2, f1, f2, depth=0) -> float:
-    """Continuous-arg increment of zeta' from s1 to s2, refined < pi/2."""
+    """Continuous-arg increment of g from s1 to s2, refined < pi/2."""
+    if depth > 42 or min(abs(f1), abs(f2)) < 1e-13:
+        raise BoundaryZeroSuspected(f"zeta' may vanish on the boundary segment {s1}..{s2}")
     d = cmath.phase(f2 / f1)
     if abs(d) < math.pi / 2:
         return d
-    if depth >= 42:
-        raise BoundaryZeroSuspected(f"argument jump near {s1}..{s2}")
     sm = (s1 + s2) / 2
-    fm = _zp(sm)
-    if abs(fm) < 1e-13:
-        raise BoundaryZeroSuspected(f"|zeta'| ~ 0 at boundary point {sm}")
+    fm = _g(sm)
     return _arg_increment(s1, sm, f1, fm, depth + 1) + _arg_increment(
         sm, s2, fm, f2, depth + 1
     )
 
 
-def _winding(rect: SearchRect) -> int:
+def count_zeros(rect: SearchRect) -> int:
+    """Number of zeros of zeta' in the rectangle by the argument principle.
+
+    The count is the winding number of the entire function
+    g(s) = (s-1)^2 zeta'(s) along the boundary: g has the zeros of zeta' and
+    no pole.  Each side is sampled in one batched call.  A segment with
+    |g| < 1e-13 at an end, or whose argument increment is still pi/2 or more
+    after 42 bisections, raises BoundaryZeroSuspected naming it.  A
+    rectangle reaching left of SIGMA_FLOOR is rejected with ValueError.
+    """
+    if rect.sigma_min < SIGMA_FLOOR:
+        raise ValueError(f"need sigma_min >= SIGMA_FLOOR = {SIGMA_FLOOR} (got {rect.sigma_min:g})")
     corners = rect.corners()
     corners.append(corners[0])
     total = 0.0
     for a, b in zip(corners[:-1], corners[1:]):
         n = _steps(abs(b - a), rect.grid_resolution)
         pts = [a + (b - a) * i / n for i in range(n + 1)]
-        vals = lfengine.zeta_prime(np.array(pts)).value.tolist()
+        vals = _g(np.array(pts)).tolist()
         for (s1, s2, f1, f2) in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-            if abs(f1) < 1e-13 or abs(f2) < 1e-13:
-                raise BoundaryZeroSuspected(f"|zeta'| ~ 0 near {s1}")
             total += _arg_increment(s1, s2, f1, f2)
     return round(total / (2 * math.pi))
 
 
-def count_zeros(rect: SearchRect) -> int:
-    """Number of zeros of zeta' in the rectangle by the argument principle.
-
-    The double pole at s = 1 contributes -2 to the boundary winding; when the
-    pole lies strictly inside the returned count is winding + 2.  A pole or
-    zero sitting on the boundary triggers up to three inward perturbations of
-    resolution/10 before giving up.  A rectangle reaching left of SIGMA_FLOOR
-    is rejected with ValueError.
-    """
-    if rect.sigma_min < SIGMA_FLOOR:
-        raise ValueError(f"need sigma_min >= SIGMA_FLOOR = {SIGMA_FLOOR} (got {rect.sigma_min:g})")
-    r = rect
-    for attempt in range(3):
-        if _pole_on_boundary(r):
-            r = _shrink(r)
-            continue
-        try:
-            w = _winding(r)
-            return w + (2 if _pole_inside(r) else 0)
-        except BoundaryZeroSuspected:
-            r = _shrink(r)
-    raise BoundaryZeroSuspected(
-        "zero or pole of zeta' on the boundary after 3 perturbations"
-    )
-
-
 def _newton_lockstep(seeds: np.ndarray) -> np.ndarray:
-    """Newton for zeta' from every seed in lockstep: one zeta'/zeta'' batch
-    per step for the seeds still live.  Returns each seed's converged point,
-    nan where the seed was dropped.
+    """Newton for g = (s-1)^2 zeta' from every seed in lockstep: one g/g'
+    batch per step for the seeds still live.  Returns each seed's converged
+    point, nan where the seed was dropped.
 
-    A seed is dropped when it leaves SIGMA_FLOOR < sigma < 10, |t| < 1e4 or
-    comes within 1e-6 of s = 1, when zeta'' = 0, or after _NEWTON_STEPS steps;
-    it has converged when |step| < 1e-13.  Outside that box the evaluator is
-    off its sweet spot.  Right of sigma = 10, zeta'(s) = -log 2 * 2^-s *
-    (1 + O((2/3)^sigma)), so each step adds about 1/log 2 to sigma and an
+    A seed is dropped when it leaves SIGMA_FLOOR < sigma < 10, |t| < 1e4,
+    when g' = 0 (so at s = 1), or after _NEWTON_STEPS steps; it has
+    converged when |step| < 1e-13.  Outside that box the evaluator is off
+    its sweet spot.  Right of sigma = 10, g'/g = 2/(s-1) - log 2 +
+    O((2/3)^sigma), so each step adds about 1/log 2 or more to sigma and an
     iterate there never returns.
     """
     out = np.full(len(seeds), complex(np.nan, np.nan))
     s, live = seeds, np.arange(len(seeds))
     for _ in range(_NEWTON_STEPS):
-        keep = ((SIGMA_FLOOR < s.real) & (s.real < 10) & (np.abs(s.imag) < 1e4)
-                & (np.abs(s - 1) >= 1e-6))
+        keep = (SIGMA_FLOOR < s.real) & (s.real < 10) & (np.abs(s.imag) < 1e4)
         s, live = s[keep], live[keep]
         if not len(s):
             break
-        _, fp, fpp = (v.value for v in lfengine.zeta_orders(s, 2))
-        keep = fpp != 0
-        step = fp[keep] / fpp[keep]
+        g, dg = (v.value for v in lfengine.entire_zeta_prime(s, 1))
+        keep = dg != 0
+        step = g[keep] / dg[keep]
         s, live = s[keep] - step, live[keep]
         done = np.abs(step) < 1e-13
         out[live[done]] = s[done]
@@ -241,12 +197,9 @@ def find_critical_points(rect: SearchRect) -> CriticalPointList:
     i, j = np.divmod(np.arange((n_sig + 1) * (n_t + 1)), n_t + 1)
     seeds = (rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig).astype(complex)
     seeds.imag = rect.t_min + (rect.t_max - rect.t_min) * j / n_t
-    seeds = seeds[~(np.abs(seeds - 1) < 1e-3)]  # pole-excluded disk
     for lo in range(0, len(seeds), _NEWTON_CHUNK):
         for z in _newton_lockstep(seeds[lo:lo + _NEWTON_CHUNK]).tolist():
             if not rect.contains(z):  # also a dropped (nan) seed
-                continue
-            if abs(z - 1) < 1e-3:
                 continue
             if any(abs(cp.point - z) < SAME_ZERO for cp in found):
                 continue

@@ -196,6 +196,27 @@ def zeta_second(s: complex) -> ComplexEval:
     return zeta_orders(s, 2)[2]
 
 
+def entire_zeta_prime(s, deriv: int) -> list[ComplexEval]:
+    """g^(d)(s) for d = 0..deriv (0 or 1), where g(s) = (s-1)^2 zeta'(s).
+
+    g is entire with the zeros of zeta', and s = 1 is an ordinary point:
+    g(1) = -1, g'(1) = 0.  From R(s, 1) = zeta(s) - 1/(s-1),
+    g = (s-1)^2 R' - 1 and g' = 2(s-1) R' + (s-1)^2 R'', from one Hurwitz
+    call.  s is one complex point or a 1-D numpy array of points (see
+    _hurwitz_reg).
+    """
+    if deriv not in (0, 1):
+        raise ValueError("deriv must be 0 or 1")
+    r = _hurwitz_reg(s, (1.0,), deriv + 1)[0]
+    sm1 = s - 1.0
+    d = abs(sm1)
+    out = [ComplexEval(sm1 * sm1 * r[1].value - 1.0, d * d * r[1].error_radius)]
+    if deriv:
+        out.append(ComplexEval(2.0 * sm1 * r[1].value + sm1 * sm1 * r[2].value,
+                               d * (2.0 * r[1].error_radius + d * r[2].error_radius)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet L-functions (non-principal only)
 

@@ -23,11 +23,12 @@ _ROUNDOFF = 2.0**-53  # unit roundoff of float64
 
 @dataclass
 class PrimeTable:
-    """Primes up to a limit with a cache of their prime-power views."""
+    """Primes up to a limit with one prime-power view, for the largest x asked."""
 
     limit: int
     primes: np.ndarray  # int64, ascending
-    _pp_cache: dict = field(default_factory=dict, repr=False)
+    _pp_x: float = field(default=-math.inf, repr=False)
+    _pp: "PrimePowers" = field(default=None, repr=False)
 
     def primes_upto(self, y: float) -> np.ndarray:
         if y > self.limit:
@@ -36,11 +37,12 @@ class PrimeTable:
         return self.primes[:k]
 
     def prime_powers(self, x: float) -> "PrimePowers":
-        """All prime powers p^k <= x, sorted by value; cached per x."""
-        key = float(x)
-        if key not in self._pp_cache:
-            self._pp_cache[key] = _build_prime_powers(self, x)
-        return self._pp_cache[key]
+        """All prime powers p^k <= x, sorted by value: a prefix of the view
+        kept, which is rebuilt only when a larger x is asked for."""
+        if not x <= self._pp_x:
+            self._pp, self._pp_x = _build_prime_powers(self, x), x
+        m = int(np.searchsorted(self._pp.n, int(np.floor(x)), side="right"))
+        return PrimePowers(*(a[:m] for a in self._pp))
 
 
 class PrimePowers(NamedTuple):

@@ -8,21 +8,10 @@ import pytest
 from lcrit import acceptance
 
 
-@pytest.mark.parametrize(
-    "criterion",
-    acceptance.ALL_CRITERIA,
-    ids=[fn.__name__ for fn in acceptance.ALL_CRITERIA],
-)
-def test_criterion(criterion):
-    result = criterion()
-    print(result.line())
-    assert type(result.passed) is bool
-    assert result.passed, result.line()
-
-
-def test_criterion_2_makes_one_l_call_per_character(monkeypatch):
-    # each of the 79 primitive characters mod 3..20 is evaluated at all 100
-    # points in one batched call
+@pytest.fixture(scope="module")
+def criterion_2_run():
+    """Criterion 2, run once for both of its tests: its result and the
+    number of points of each dirichlet_l call it made."""
     sizes = []
     real = acceptance.lfengine.dirichlet_l
 
@@ -30,6 +19,29 @@ def test_criterion_2_makes_one_l_call_per_character(monkeypatch):
         sizes.append(len(s))
         return real(s, chr, deriv)
 
-    monkeypatch.setattr(acceptance.lfengine, "dirichlet_l", counted)
-    assert acceptance.criterion_2().passed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(acceptance.lfengine, "dirichlet_l", counted)
+        return acceptance.criterion_2(), sizes
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    acceptance.ALL_CRITERIA,
+    ids=[fn.__name__ for fn in acceptance.ALL_CRITERIA],
+)
+def test_criterion(criterion, request):
+    if criterion is acceptance.criterion_2:
+        result = request.getfixturevalue("criterion_2_run")[0]
+    else:
+        result = criterion()
+    print(result.line())
+    assert type(result.passed) is bool
+    assert result.passed, result.line()
+
+
+def test_criterion_2_makes_one_l_call_per_character(criterion_2_run):
+    # each of the 79 primitive characters mod 3..20 is evaluated at all 100
+    # points in one batched call
+    result, sizes = criterion_2_run
+    assert result.passed
     assert sizes == [acceptance._C2_POINTS] * 79

@@ -138,12 +138,15 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
     # left of critzeros.SIGMA_FLOOR zeta' is wrong (-30) or overflows (-300)
     (["zeros", "--rect=-30,-29,10,11"], "need sigma_min >= SIGMA_FLOOR = -0.9"),
     (["zeros", "--rect=-300,-299,10,11"], "need sigma_min >= SIGMA_FLOOR = -0.9"),
+    # the right edge runs through the zero 2.4631618694543213 + 23.298320492762858i
+    (["zeros", "--rect", "0.5,2.4631618694543213,20,26", "--res", "0.5"],
+     "zeta' may vanish on the boundary segment"),
 ], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
         "scan-t-zero", "scan-t2-negative", "scan-t-below-e", "scan-no-points", "scan-q-one",
         "rect-reversed", "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small",
         "thm2-delta", "tau-tol-large", "scan-t-nan", "scan-t-inf", "scan-sigma-nan",
         "scan-sigma-inf", "zeros-t-inf", "zeros-res-nan", "tau-x-inf", "thm2-x-nan",
-        "zeros-sigma-30", "zeros-sigma-300"])
+        "zeros-sigma-30", "zeros-sigma-300", "zeros-zero-on-edge"])
 def test_cli_malformed_input_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)

@@ -61,14 +61,35 @@ def test_empty_rectangle():
 
 
 def test_pole_inside_is_handled():
-    # s = 1 sits strictly inside; the winding count needs the +2 correction
+    # s = 1, the double pole of zeta', sits strictly inside: (s-1)^2 zeta' is
+    # -1 there, and zeta' has no zero in this window (its real zero near
+    # s = -2.7 is outside)
     rect = cz.SearchRect(0.3, 1.7, -0.6, 0.6, grid_resolution=0.2)
-    n = cz.count_zeros(rect)
-    # zeta' has a single real zero in this window (near s = -2.7 is outside;
-    # between the pole and the trivial behaviour there are none here)
-    assert n >= 0  # winding is a valid integer, no crash from the pole
+    assert cz.count_zeros(rect) == 0
     pts = cz.find_critical_points(rect)
     assert pts.complete
+    # g'(1) = 0 exactly, so a Newton seed at s = 1 is dropped
+    assert np.isnan(cz._newton_lockstep(np.array([1 + 0j]))[0])
+
+
+# the first zero of zeta' above the axis, as test_first_zero_of_zeta_prime finds it
+_RHO = complex(2.4631618694543213, 23.298320492762858)
+
+
+@pytest.mark.parametrize("rect", [
+    cz.SearchRect(0.5, _RHO.real, 20.0, 26.0, grid_resolution=0.5),
+    cz.SearchRect(_RHO.real, 4.0, 20.0, 26.0, grid_resolution=0.5),
+    cz.SearchRect(0.5, 4.0, 20.0, 23.29832049276286, grid_resolution=0.5),
+], ids=["right-edge", "left-edge", "top-edge"])
+def test_zero_on_the_boundary_raises_with_its_segment(rect):
+    # with an edge through a zero the count is undefined: the caller gets the
+    # segment that holds the zero, and moves the edge
+    for search in (cz.count_zeros, cz.find_critical_points):
+        with pytest.raises(cz.BoundaryZeroSuspected, match="boundary segment") as info:
+            search(rect)
+        assert isinstance(info.value, ValueError)
+        a, b = (complex(z) for z in str(info.value).rsplit(" ", 1)[1].split(".."))
+        assert abs(a - _RHO) + abs(_RHO - b) <= abs(b - a) + 1e-9  # rho on [a, b]
 
 
 def test_zeros_below_axis_are_conjugates():
@@ -132,14 +153,14 @@ def test_each_zero_certified_once(t_min, n_zeros, monkeypatch):
 
 
 def _scalar_newton(s):
-    """Reference: Newton for zeta' from one seed, one scalar evaluation per step."""
+    """Reference: Newton for (s-1)^2 zeta' from one seed, one scalar evaluation per step."""
     for _ in range(cz._NEWTON_STEPS):
-        if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4) or abs(s - 1) < 1e-6:
+        if not (-0.9 < s.real < 10 and abs(s.imag) < 1e4):
             return None
-        _, fp, fpp = (v.value for v in lf.zeta_orders(s, 2))
-        if fpp == 0:
+        g, dg = (v.value for v in lf.entire_zeta_prime(s, 1))
+        if dg == 0:
             return None
-        step = fp / fpp
+        step = g / dg
         s = s - step
         if abs(step) < 1e-13:
             return s
@@ -150,10 +171,9 @@ def _seeds(rect):
     res = rect.grid_resolution
     n_sig = max(2, math.ceil((rect.sigma_max - rect.sigma_min) / res))
     n_t = max(2, math.ceil((rect.t_max - rect.t_min) / res))
-    seeds = [complex(rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig,
-                     rect.t_min + (rect.t_max - rect.t_min) * j / n_t)
-             for i in range(n_sig + 1) for j in range(n_t + 1)]
-    return [s for s in seeds if not abs(s - 1) < 1e-3]
+    return [complex(rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig,
+                    rect.t_min + (rect.t_max - rect.t_min) * j / n_t)
+            for i in range(n_sig + 1) for j in range(n_t + 1)]
 
 
 _STRIPS = [cz.SearchRect(0.0, 3.0, a, a + 5.0) for a in (40.0, 45.0, 75.0)]
@@ -177,13 +197,13 @@ def test_strip_is_a_few_batched_evaluations(rect, monkeypatch):
     # 273 seeds run Newton in lockstep (at most 40 steps) and each boundary
     # side is sampled in one call; a scalar Newton made ~2,150 calls
     sizes = []
-    real = lf.zeta_orders
+    real = lf.entire_zeta_prime
 
     def counted(s, deriv):
         sizes.append(np.size(s))
         return real(s, deriv)
 
-    monkeypatch.setattr(lf, "zeta_orders", counted)
+    monkeypatch.setattr(lf, "entire_zeta_prime", counted)
     pts = cz.find_critical_points(rect)
     assert pts.complete
     assert len(sizes) <= 60

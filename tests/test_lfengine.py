@@ -54,6 +54,29 @@ def test_zeta_derivatives_is_one_pass_of_zeta_prime_and_second():
         lf.zeta_orders(1.0 + 0j, 2)
 
 
+def test_entire_zeta_prime_matches_mpmath():
+    # g = (s-1)^2 zeta' and g' = 2(s-1) zeta' + (s-1)^2 zeta'' from mpmath at
+    # 40 digits, relative: the worst error measured was 3e-11 at sigma = -0.85
+    # and 2e-14 right of sigma = 1; the radius is a heuristic (see the xfail
+    # below), so it is not checked
+    assert lf.entire_zeta_prime(1.0 + 0j, 1) == [lf.ComplexEval(-1.0 + 0j, 0.0),
+                                                  lf.ComplexEval(0j, 0.0)]
+    near_one = [1 + cmath.rect(r, th) for r in (1e-8, 1e-3, 0.05, 0.2, 0.2499)
+                for th in (0.0, 1.0, 2.5, 4.0)]
+    grid = [complex(sig, t) for sig in (-0.85, -0.5, 0.0, 0.5, 0.95, 1.1, 2.0, 6.0, 9.5)
+            for t in (0.0, 0.05, 1.0, 14.1347, 23.3, 77.7, -80.0)]
+    for s in near_one + grid:
+        got = [ev.value for ev in lf.entire_zeta_prime(s, 1)]
+        assert got[0] == lf.entire_zeta_prime(s, 0)[0].value
+        with mp.workdps(40):
+            ms = mp.mpc(s.real, s.imag)
+            z1, z2 = mp.zeta(ms, derivative=1), mp.zeta(ms, derivative=2)
+            want = [complex((ms - 1) ** 2 * z1), complex(2 * (ms - 1) * z1 + (ms - 1) ** 2 * z2)]
+        tol = 1e-13 if s.real >= 1 else 1e-10
+        for g, w in zip(got, want):
+            assert abs(g - w) <= tol * abs(w)
+
+
 def _r_mp(s, a, d):
     """R^(d)(s, a) = zeta^(d)(s, a) - (-1)^d d!/(s-1)^(d+1) in mpmath."""
     ms = mp.mpc(s.real, s.imag)
@@ -129,33 +152,48 @@ _BATCH = np.array(
     + [complex(sig, t) for sig in (-0.85, 0.25, 1.5, 6.0) for t in (-7.5, 33.3, 170.0, 2e3)])
 
 
-# zeta, zeta', zeta'' on _BATCH (q = 1), or L, L' for one odd chi mod q = 5,
-# 7, 8 or 11 (so L(0, chi) != 0) on _BATCH and s = 1; L's main sums run over
-# n = qk + a <= qN
-_ORDERS = {"zeta": (_BATCH, lambda s: lf.zeta_orders(s, 2), 1)} | {
+def _terms(s, m, d):
+    """The mass of the terms of zeta^(d) or L^(d): m[d]."""
+    return m[d]
+
+
+def _entire_terms(s, m, d):
+    """The mass of g = (s-1)^2 R' - 1 (d = 0) or g' = 2(s-1) R' + (s-1)^2 R''."""
+    r = abs(s - 1)
+    return r * r * m[1] if d == 0 else r * (2 * m[1] + r * m[2])
+
+
+# zeta, zeta', zeta'' on _BATCH (q = 1), (s-1)^2 zeta' and its derivative on
+# _BATCH and s = 1, or L, L' for one odd chi mod q = 5, 7, 8 or 11 (so
+# L(0, chi) != 0) on _BATCH and s = 1; L's main sums run over n = qk + a <= qN
+_ORDERS = {"zeta": (_BATCH, lambda s: lf.zeta_orders(s, 2), 1, _terms),
+           "entire-zeta-prime": (np.append(_BATCH, 1 + 0j),
+                                 lambda s: lf.entire_zeta_prime(s, 1), 1, _entire_terms)} | {
     f"L-mod-{q}": (np.append(_BATCH, 1 + 0j),
-                   lambda s, chr=enumerate_characters(q)[label]: lf._l_orders(s, chr, 1), q)
+                   lambda s, chr=enumerate_characters(q)[label]: lf._l_orders(s, chr, 1), q,
+                   _terms)
     for q, label in ((5, 1), (7, 3), (8, 1), (11, 1))}
 
 
-@pytest.mark.parametrize("points, orders, q", _ORDERS.values(), ids=_ORDERS)
-def test_batch_matches_scalar_calls(points, orders, q):
+@pytest.mark.parametrize("points, orders, q, terms", _ORDERS.values(), ids=_ORDERS)
+def test_batch_matches_scalar_calls(points, orders, q, terms):
     # a batch rounds like numpy, one point like CPython: values agree to
-    # 8 ulps of |value| + sum_{n<=qN} n^-sigma log^d n (the scale of the
-    # terms that cancel), radii to 4 ulps
+    # 8 ulps of |value| + the mass of the terms that cancel, built from
+    # m[j] = sum_{n<=qN} n^-sigma log^j n; radii to 4 ulps
     eps = np.finfo(float).eps
     batch = orders(points)
     for k, s in enumerate(points.tolist()):
         n = np.arange(1.0, q * lf._cutoff(s.imag) + 1)
+        m = [float(np.sum(n ** -s.real * np.log(n) ** j)) for j in range(3)]
         for d, one in enumerate(orders(s)):
             assert isinstance(one.value, complex)
-            mass = float(np.sum(n ** -s.real * np.log(n) ** d))
-            assert abs(batch[d].value[k] - one.value) <= 8 * eps * (abs(one.value) + mass)
+            assert abs(batch[d].value[k] - one.value) <= 8 * eps * (abs(one.value)
+                                                                   + terms(s, m, d))
             assert abs(batch[d].error_radius[k] - one.error_radius) <= 4 * eps * one.error_radius
 
 
-@pytest.mark.parametrize("points, orders, q", _ORDERS.values(), ids=_ORDERS)
-def test_batch_point_is_independent_of_its_batch(points, orders, q, monkeypatch):
+@pytest.mark.parametrize("points, orders, q, terms", _ORDERS.values(), ids=_ORDERS)
+def test_batch_point_is_independent_of_its_batch(points, orders, q, terms, monkeypatch):
     # alone, inside the whole batch, or in sub-batches of two points: the same bits
     batch = orders(points)
     monkeypatch.setattr(lf, "_BATCH_TERMS", 2 * lf.EULER_MACLAURIN_CUTOFF)

@@ -32,6 +32,20 @@ def test_prime_powers_reproduce_mangoldt(tbl_small):
             assert n not in got
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+def test_prime_powers_is_a_prefix_of_one_view(order):
+    # a cutoff below the largest one asked gets a prefix of the view kept,
+    # bit for bit what a fresh build at that cutoff gives
+    tbl = ps.sieve(10**4)
+    for x in [2, 2.5, 3, 8, 9.99, 100, 127.5, 1024, 5000.0, 10**4][::order]:
+        got, fresh = tbl.prime_powers(x), ps._build_prime_powers(tbl, x)
+        for a, b in zip(got, fresh):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert tbl._pp_x == 10**4
+    with pytest.raises(ValueError, match="exceeds table limit"):
+        tbl.prime_powers(10**4 + 1)
+
+
 def test_mangoldt_divisor_identity(tbl_small):
     # sum over d | n of Lambda(d) = log n
     pp = tbl_small.prime_powers(10**4)

@@ -2,18 +2,18 @@
 
 Both work on g(s) = (s-1)^2 zeta'(s) (lfengine.entire_zeta_prime), which is
 entire, has the zeros of zeta' and takes g(1) = -1, so the double pole of
-zeta' at s = 1 needs no case anywhere.  count_zeros walks the rectangle
-boundary tracking the continuous argument of g, refining steps until every
-increment is below pi/2; the winding number is then the zero count.  A zero
-on the boundary raises BoundaryZeroSuspected, a ValueError: the caller moves
-the boundary.  find_critical_points seeds a grid and runs Newton on g from
+zeta' at s = 1 needs no case anywhere.  count_zeros continues log g around
+the rectangle boundary with lfengine.log_change, the walker log_l uses too;
+the winding number is the zero count.  A boundary sample whose radius cannot
+tell g from 0, or a step whose phase jump survives 42 bisections, raises
+lfengine.ZeroOnPath, a ValueError naming the segment: the caller moves the
+boundary.  find_critical_points seeds a grid and runs Newton on g from
 every seed in lockstep, one batched g/g' evaluation per step, and certifies
 each distinct zero once by an independent high-precision residual of zeta'.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -30,10 +30,6 @@ _RESIDUAL_DPS = 35  # working digits of the mpmath residual that certifies a zer
 # Left of this sigma zeta' is not trusted: at -0.9 it is within 1e-11 relative
 # of mpmath for 0 <= t <= 1e3, at -29.5 it is off by 2e22 relative
 SIGMA_FLOOR = -0.9
-
-
-class BoundaryZeroSuspected(ValueError):
-    """A zero of zeta' appears to sit on the rectangle boundary: move the boundary."""
 
 
 @dataclass(frozen=True)
@@ -53,10 +49,10 @@ class SearchRect:
             raise ValueError("need t_min < t_max")
         if not 0 < self.grid_resolution < math.inf:
             raise ValueError("grid_resolution must be positive and finite")
-        sides = (self.sigma_max - self.sigma_min, self.t_max - self.t_min)
-        if (max(sides) / self.grid_resolution > MAX_POINTS
-                or math.prod(_steps(x, self.grid_resolution) + 1 for x in sides) > MAX_POINTS):
-            raise ValueError(f"grid_resolution {self.grid_resolution:g} gives this rectangle "
+        res, sides = self.grid_resolution, (self.sigma_max - self.sigma_min, self.t_max - self.t_min)
+        if (max(sides) / res > MAX_POINTS
+                or math.prod(lfengine.path_steps(x, res) + 1 for x in sides) > MAX_POINTS):
+            raise ValueError(f"grid_resolution {res:g} gives this rectangle "
                              f"more than MAX_POINTS = {MAX_POINTS} seed points")
 
     def contains(self, s: complex) -> bool:
@@ -94,52 +90,18 @@ class CriticalPointList(list):
         return len(self) == self.expected_count
 
 
-def _steps(length: float, res: float) -> int:
-    """Grid steps along a side (seed grid rows and columns, boundary samples)."""
-    return max(2, math.ceil(length / res))
-
-
-def _g(s):
-    """g(s) = (s-1)^2 zeta'(s) at a point or a 1-D array of points."""
-    return lfengine.entire_zeta_prime(s, 0)[0].value
-
-
-def _arg_increment(s1, s2, f1, f2, depth=0) -> float:
-    """Continuous-arg increment of g from s1 to s2, refined < pi/2."""
-    if depth > 42 or min(abs(f1), abs(f2)) < 1e-13:
-        raise BoundaryZeroSuspected(f"zeta' may vanish on the boundary segment {s1}..{s2}")
-    d = cmath.phase(f2 / f1)
-    if abs(d) < math.pi / 2:
-        return d
-    sm = (s1 + s2) / 2
-    fm = _g(sm)
-    return _arg_increment(s1, sm, f1, fm, depth + 1) + _arg_increment(
-        sm, s2, fm, f2, depth + 1
-    )
-
-
 def count_zeros(rect: SearchRect) -> int:
-    """Number of zeros of zeta' in the rectangle by the argument principle.
-
-    The count is the winding number of the entire function
-    g(s) = (s-1)^2 zeta'(s) along the boundary: g has the zeros of zeta' and
-    no pole.  Each side is sampled in one batched call.  A segment with
-    |g| < 1e-13 at an end, or whose argument increment is still pi/2 or more
-    after 42 bisections, raises BoundaryZeroSuspected naming it.  A
-    rectangle reaching left of SIGMA_FLOOR is rejected with ValueError.
+    """Number of zeros of zeta' in the rectangle: the winding number of the
+    entire g(s) = (s-1)^2 zeta'(s) along its boundary, by lfengine.log_change
+    (ZeroOnPath where g may vanish).  A rectangle reaching left of
+    SIGMA_FLOOR is rejected with ValueError.
     """
     if rect.sigma_min < SIGMA_FLOOR:
         raise ValueError(f"need sigma_min >= SIGMA_FLOOR = {SIGMA_FLOOR} (got {rect.sigma_min:g})")
     corners = rect.corners()
-    corners.append(corners[0])
-    total = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        n = _steps(abs(b - a), rect.grid_resolution)
-        pts = [a + (b - a) * i / n for i in range(n + 1)]
-        vals = _g(np.array(pts)).tolist()
-        for (s1, s2, f1, f2) in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-            total += _arg_increment(s1, s2, f1, f2)
-    return round(total / (2 * math.pi))
+    change = lfengine.log_change(lambda s: lfengine.entire_zeta_prime(s, 0)[0],
+                                 corners + corners[:1], rect.grid_resolution, "zeta'")
+    return round(change.value.imag / (2 * math.pi))
 
 
 def _newton_lockstep(seeds: np.ndarray) -> np.ndarray:
@@ -192,8 +154,8 @@ def find_critical_points(rect: SearchRect) -> CriticalPointList:
     n_expected = count_zeros(rect)
     res = rect.grid_resolution
     found: list[CriticalPoint] = []
-    n_sig = _steps(rect.sigma_max - rect.sigma_min, res)
-    n_t = _steps(rect.t_max - rect.t_min, res)
+    n_sig = lfengine.path_steps(rect.sigma_max - rect.sigma_min, res)
+    n_t = lfengine.path_steps(rect.t_max - rect.t_min, res)
     i, j = np.divmod(np.arange((n_sig + 1) * (n_t + 1)), n_t + 1)
     seeds = (rect.sigma_min + (rect.sigma_max - rect.sigma_min) * i / n_sig).astype(complex)
     seeds.imag = rect.t_min + (rect.t_max - rect.t_min) * j / n_t

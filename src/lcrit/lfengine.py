@@ -6,9 +6,10 @@ non-principal chi is then q^{-s} sum_a chi(a) R(s, a/q): the pole parts
 cancel exactly because sum_a chi(a) = 0, so evaluation at s = 1 is exact
 rather than a cancellation of two large terms.
 
-On top of that sit a branch-tracked log L (continuous in sigma from a
+On top of that sit log_change, the one walker continuing a log along a path
+(log_l's and critzeros.count_zeros'), log L continued in sigma from a
 far-right anchor where the Euler product makes the principal branch
-unambiguous) and the truncated prime-sum approximation to log L.
+unambiguous, and the truncated prime-sum approximation to log L.
 """
 
 from __future__ import annotations
@@ -270,45 +271,81 @@ def l_log_derivative(s, chr: Character) -> ComplexEval:
 
 
 # ---------------------------------------------------------------------------
-# Branch-tracked log L
+# Continuous logarithms along a path
+
+
+class ZeroOnPath(ValueError):
+    """The function continued along a path may vanish on one of its segments."""
+
+    def __init__(self, name: str, a: complex, b: complex):
+        super().__init__(f"{name} may vanish on the path segment {complex(a)}..{complex(b)}")
+
+
+_BISECTIONS = 42  # the most times log_change halves one step
+
+
+def path_steps(length: float, res: float) -> int:
+    """Steps along a path leg or a grid side of this length at resolution res."""
+    return max(2, math.ceil(length / res))
+
+
+def log_change(f, path: Sequence[complex], res: float, name: str) -> ComplexEval:
+    """Change of a continuous log f along the polyline through ``path``.
+
+    f maps a 1-D array of points to a ComplexEval.  Each leg a..b is sampled
+    at a + (b - a) i/n, n = path_steps(|b - a|, res), in one call; steps
+    whose principal log increment has |arg| >= pi/2 are bisected, one call a
+    round.  ZeroOnPath names ``name`` and the segment if a step is still that
+    large after _BISECTIONS rounds or a sample has |f| <= max(1e-13, 2r):
+    with r < |f|/2 an arg is known to within pi/6, so an accepted step moves
+    the true arg by less than 5 pi/6 < pi.  The radius sums r/|f| over the
+    samples; its two end terms bound the error of the telescoping sum.
+    """
+    total, radius = 0j, 0.0
+    for a, b in zip(path[:-1], path[1:]):
+        n = path_steps(abs(b - a), res)
+        s = np.array([a + (b - a) * i / n for i in range(n + 1)])
+        v, r = _sample(f, s, name, lambda k: (s[max(k - 1, 0)], s[max(k, 1)]))
+        radius += r
+        for depth in range(_BISECTIONS + 1):
+            d = np.log(v[1:] / v[:-1])
+            big = np.flatnonzero(np.abs(d.imag) >= math.pi / 2)
+            if not len(big):
+                break
+            if depth == _BISECTIONS:
+                raise ZeroOnPath(name, s[big[0]], s[big[0] + 1])
+            mid = (s[big] + s[big + 1]) / 2
+            fmid, r = _sample(f, mid, name, lambda k: (s[big[k]], mid[k]))
+            radius += r
+            s, v = np.insert(s, big + 1, mid), np.insert(v, big + 1, fmid)
+        total += complex(d.sum())
+    return ComplexEval(total, radius)
+
+
+def _sample(f, s, name: str, segment):
+    """f at the points s and the sum of r/|f|; the first sample k with
+    |f| <= max(1e-13, 2r), inf or nan is refused, naming segment(k)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f(s)
+    ok = np.isfinite(v.value) & (np.abs(v.value) > np.maximum(1e-13, 2 * v.error_radius))
+    if not ok.all():
+        raise ZeroOnPath(name, *segment(np.flatnonzero(~ok)[0]))
+    return v.value, float(np.sum(v.error_radius / np.abs(v.value)))
 
 
 def log_l(s: complex, chr: Character) -> ComplexEval:
-    """log L(s, chi), continuous along the horizontal path from the anchor.
-
-    Anchored at sigma = BRANCH_ANCHOR_SIGMA (same t) where |L - 1| < 1/2 and
-    the principal branch is unambiguous; the branch is transported left by
-    accumulating principal logs of consecutive ratios, with step halving
-    whenever a ratio increment looks too large to trust.
-    """
+    """log L(s, chi), continued by log_change at steps of 0.25 along the
+    horizontal path from sigma = max(BRANCH_ANCHOR_SIGMA, Re s + 0.5), where
+    |L - 1| <= 1/2 makes the principal branch unambiguous."""
     _check_char(chr)
     s = complex(s)
-    sig0 = max(BRANCH_ANCHOR_SIGMA, s.real + 0.5)
-    anchor = complex(sig0, s.imag)
-    la = dirichlet_l(anchor, chr)
-    if abs(la.value - 1.0) > 0.5:
+    anchor = complex(max(BRANCH_ANCHOR_SIGMA, s.real + 0.5), s.imag)
+    la = dirichlet_l(anchor, chr).value
+    if abs(la - 1.0) > 0.5:
         raise RuntimeError("anchor not in the principal-branch region")
-    total = cmath.log(la.value)
-    err = la.error_radius / abs(la.value)
-    cur = anchor
-    curval = la.value
-    step = 0.25
-    while cur.real > s.real + 1e-12:
-        h = min(step, cur.real - s.real)
-        nxt = complex(cur.real - h, s.imag)
-        nv = dirichlet_l(nxt, chr)
-        if abs(nv.value) < 1e-13:
-            raise ZetaPoleError("path passes through a zero of L")
-        d = cmath.log(nv.value / curval)
-        if abs(d) > 1.0 and h > 1e-4:
-            step = h / 2.0
-            continue
-        total += d
-        err += nv.error_radius / abs(nv.value)
-        cur = nxt
-        curval = nv.value
-        step = min(step * 1.5, 0.25)
-    return ComplexEval(total, err)
+    change = log_change(lambda z: dirichlet_l(z, chr), [anchor, s], 0.25,
+                        f"L(s, chi_{chr.modulus},{chr.label})")
+    return ComplexEval(cmath.log(la) + change.value, change.error_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_cli_tau_zero_tolerance_rejected(capsys):
     (["zeros", "--rect=-300,-299,10,11"], "need sigma_min >= SIGMA_FLOOR = -0.9"),
     # the right edge runs through the zero 2.4631618694543213 + 23.298320492762858i
     (["zeros", "--rect", "0.5,2.4631618694543213,20,26", "--res", "0.5"],
-     "zeta' may vanish on the boundary segment"),
+     "zeta' may vanish on the path segment"),
 ], ids=["rect-three-numbers", "grid-two-fields", "chi-out-of-range", "scan-principal",
         "scan-t-zero", "scan-t2-negative", "scan-t-below-e", "scan-no-points", "scan-q-one",
         "rect-reversed", "zeros-res-zero", "chars-q-one", "bounds-q-two", "tau-x-small",

@@ -85,7 +85,7 @@ def test_zero_on_the_boundary_raises_with_its_segment(rect):
     # with an edge through a zero the count is undefined: the caller gets the
     # segment that holds the zero, and moves the edge
     for search in (cz.count_zeros, cz.find_critical_points):
-        with pytest.raises(cz.BoundaryZeroSuspected, match="boundary segment") as info:
+        with pytest.raises(lf.ZeroOnPath, match="zeta' may vanish on the path segment") as info:
             search(rect)
         assert isinstance(info.value, ValueError)
         a, b = (complex(z) for z in str(info.value).rsplit(" ", 1)[1].split(".."))

@@ -301,6 +301,80 @@ def test_log_l_branch_continuity():
     assert steps.max() < 1.0
 
 
+def _segment(err):
+    """The segment a ZeroOnPath message ends with."""
+    return [complex(z) for z in str(err).rsplit(" ", 1)[1].split("..")]
+
+
+def test_log_change_winds_once_around_a_simple_zero():
+    def f(s):
+        return lf.ComplexEval(s - (0.3 + 0.2j), np.zeros(len(s)))
+
+    square = [0j, 1 + 0j, 1 + 1j, 1j, 0j]
+    change = lf.log_change(f, square, 0.5, "f")
+    assert abs(change.value - 2j * math.pi) < 1e-12 and change.error_radius == 0.0
+    # one sample lands on the zero: the step ending there is named
+    with pytest.raises(lf.ZeroOnPath, match=r"f may vanish on the path segment") as info:
+        lf.log_change(f, [0.2j, 0.4 + 0.2j], 0.1, "f")
+    assert _segment(info.value) == [0.2 + 0.2j, 0.30000000000000004 + 0.2j]
+
+
+# L(s, chi_5,1) vanishes at 1/2 + 8.457229174423231 i (checked by mp.findroot below)
+_T_ZERO = 8.457229174423231
+
+
+def test_log_l_refuses_a_path_through_a_zero_of_l():
+    chr = enumerate_characters(5)[1]
+    with mp.workdps(30):
+        rho = complex(mp.findroot(lambda z: lf.dirichlet_l_mp(z, chr), mp.mpc(0.5, _T_ZERO)))
+    assert abs(rho - complex(0.5, _T_ZERO)) < 1e-12
+    with pytest.raises(lf.ZeroOnPath, match=r"L\(s, chi_5,1\) may vanish on the path segment") \
+            as info:
+        lf.log_l(complex(0.3, _T_ZERO), chr)
+    a, b = _segment(info.value)
+    assert abs(a - rho) + abs(rho - b) <= abs(b - a) + 1e-9  # rho on [a, b]
+
+
+def test_log_l_refuses_samples_its_radius_cannot_tell_from_zero():
+    # left of sigma = -9.5 at t = 10 L's radius is over half of |L|: the
+    # continued branch is no longer known, so the walk stops there
+    chr = enumerate_characters(5)[1]
+    with pytest.raises(lf.ZeroOnPath, match=r"segment \(-9\.5\+10j\)\.\.\(-9\.75\+10j\)"):
+        lf.log_l(complex(-10.0, 10.0), chr)
+    s = complex(-5.0, 10.0)
+    lv = lf.log_l(s, chr)
+    ref = complex(lf.dirichlet_l_mp(s, chr))
+    assert abs(cmath.exp(lv.value) / ref - 1) <= lv.error_radius
+
+
+@pytest.mark.parametrize("s", [1.0 + 1e3j, 0.5 + 20.0j])
+def test_log_l_is_the_anchor_and_one_batched_call(s, monkeypatch):
+    chr = enumerate_characters(5)[1]
+    calls = []
+    real = lf.dirichlet_l
+
+    def counted(z, chr, deriv=0):
+        calls.append(np.size(z))
+        return real(z, chr, deriv)
+
+    monkeypatch.setattr(lf, "dirichlet_l", counted)
+    lv = lf.log_l(s, chr)
+    assert len(calls) == 2 and calls[0] == 1
+    assert type(lv.value) is complex and type(lv.error_radius) is float
+
+
+@pytest.mark.parametrize("dt", [1e-5, 1e-7, -1e-5])
+def test_log_l_near_a_zero_matches_a_fine_continuation(dt):
+    # the path passes dt from the zero of L at 1/2 + _T_ZERO i; a 20,000-step
+    # continuation never needs a phase jump of pi/2 or more to be halved
+    chr = enumerate_characters(5)[1]
+    s = complex(0.3, _T_ZERO + dt)
+    anchor = complex(lf.BRANCH_ANCHOR_SIGMA, s.imag)
+    vals = lf.dirichlet_l(anchor + (s - anchor) * np.arange(20001) / 20000, chr).value
+    ref = cmath.log(vals[0]) + np.log(vals[1:] / vals[:-1]).sum()
+    assert abs(lf.log_l(s, chr).value - ref) < 1e-13
+
+
 def test_euler_product_consistency_sigma_3(tbl):
     # log L(3) vs the prime sum over the full table
     chr = enumerate_characters(5)[1]
